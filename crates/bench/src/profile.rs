@@ -19,7 +19,9 @@
 
 use std::time::Instant;
 
-use bsc_telemetry::profile::{folded_stacks, write_profile_sections, ProfileSnapshot, Profiler};
+use bsc_telemetry::profile::{
+    folded_stacks, write_profile_sections, ProfileSnapshot, Profiler, RESIDUAL,
+};
 use bsc_telemetry::JsonBuilder;
 
 use crate::online::{
@@ -47,8 +49,9 @@ pub struct ProfileRun {
     /// Phase-attributed profile: wall clock + deterministic counters.
     pub snapshot: ProfileSnapshot,
     /// End-to-end wall clock of the simulation + export, in ns.  This
-    /// wraps the whole run, so it is an upper bound on the sum of the
-    /// per-phase wall times (which only cover instrumented scopes).
+    /// wraps the whole run, so it bounds the per-phase wall times plus
+    /// the `loop` residual (which together cover the instrumented
+    /// scopes).
     pub run_wall_ns: u64,
 }
 
@@ -102,7 +105,7 @@ pub fn render(p: &ProfileRun) -> String {
         "  {:<18} {:>12} {:>14} {:>12} {:>7}\n",
         "phase", "calls", "work units", "wall", "share"
     ));
-    let total_wall = p.snapshot.total_wall_ns().max(1);
+    let total_wall = (p.snapshot.total_wall_ns() + p.snapshot.residual_ns).max(1);
     for phase in &p.snapshot.phases {
         out.push_str(&format!(
             "  {:<18} {:>12} {:>14} {:>12} {:>6.1}%\n",
@@ -113,6 +116,14 @@ pub fn render(p: &ProfileRun) -> String {
             phase.wall_ns as f64 * 100.0 / total_wall as f64,
         ));
     }
+    out.push_str(&format!(
+        "  {:<18} {:>12} {:>14} {:>12} {:>6.1}%\n",
+        RESIDUAL,
+        "-",
+        "-",
+        crate::timing::fmt_ns(p.snapshot.residual_ns as f64),
+        p.snapshot.residual_ns as f64 * 100.0 / total_wall as f64,
+    ));
     out.push_str(&format!(
         "  arrivals {} (completed {}, rejected {}, shed {})\n",
         r.submitted, r.completed, r.rejected, r.shed
@@ -187,6 +198,7 @@ pub fn folded(p: &ProfileRun) -> String {
 mod tests {
     use super::*;
     use crate::online::tests::MANIFEST;
+    use bsc_telemetry::JsonValue;
 
     #[test]
     fn profile_runs_and_attributes_every_phase() {
@@ -245,6 +257,24 @@ mod tests {
             r.submitted + 2 * (r.rejected + r.shed) + 3 * r.completed,
             "flush-derived increment count drifted from the per-event formula"
         );
+    }
+
+    #[test]
+    fn wall_side_partitions_the_run_without_over_attribution() {
+        let p = profile(MANIFEST, Some(1)).unwrap();
+        let doc = bsc_telemetry::parse_json(&profile_document(&p)).unwrap();
+        let wall = doc.get("wall").unwrap();
+        let total = wall.get("total_ns").and_then(|v| v.as_f64()).unwrap() as u64;
+        let JsonValue::Object(phases) = wall.get("phases").unwrap() else {
+            panic!("wall.phases must be an object")
+        };
+        let listed: u64 = phases.iter().map(|(_, v)| v.as_f64().unwrap() as u64).sum();
+        assert!(phases.iter().all(|(name, _)| name != "loop_ns"), "the residual is not a phase");
+        assert_eq!(total - listed, p.snapshot.residual_ns, "total_ns = phases + loop residual");
+        assert!(p.snapshot.residual_ns > 0);
+        assert!(total <= p.run_wall_ns, "phases + residual exceed run_wall_ns");
+        assert!(render(&p).contains("  loop "), "{}", render(&p));
+        assert!(folded(&p).lines().any(|l| l.starts_with("repro_online;loop ")));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! own [`AcceleratorConfig`], so shards may mix MAC kinds (BSC / LPC /
 //! HPS) *and* memory hierarchies — fed by seeded
 //! [`ArrivalProcess`](crate::des::ArrivalProcess) traffic sources.
-//! [`run_online`] drives one [`crate::des::EventQueue`] interleaving
-//! job-arrival and shard-completion events:
+//! [`run_online`] interleaves job-arrival events (one pending head per
+//! source, [`crate::des::ArrivalHeads`]) with shard-completion events
+//! ([`crate::des::CompletionLanes`]) in the `(time, priority, seq)`
+//! order of a single [`crate::des::EventQueue`]:
 //!
 //! 1. **Arrival** at cycle *t*: the [`DispatchPolicy`] picks a shard,
 //!    then the engine's admission ladder runs against that shard —
@@ -33,8 +35,9 @@
 //! [`SloAccountant`], so per-tenant p99 / goodput / shed series come
 //! for free over 10⁵–10⁶ simulated jobs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
@@ -43,7 +46,7 @@ use bsc_telemetry::{
     LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, Registry, Telemetry,
 };
 
-use crate::des::{ArrivalGen, ArrivalProcess, CompletionLanes, EventQueue, PRIORITY_ARRIVAL};
+use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
 use crate::engine::{
     estimate_cycles_for, schedule_cycles_for, CharacterizationCache, PrecisionPolicy,
     RejectReason, ShedReason,
@@ -357,13 +360,187 @@ fn choose_shard(
 }
 
 /// The self-profiler phases of one online run, prefetched so the event
-/// loop pays at most two clock reads per guarded scope.
+/// loop never touches the profiler's shared state.
 struct OnlinePhases {
     arrival: PhaseHandle,
     dispatch: PhaseHandle,
     admission: PhaseHandle,
     schedule: PhaseHandle,
     slo: PhaseHandle,
+}
+
+/// Arrivals drawn per source refill: one lockstep sampler block.
+const ARRIVAL_BATCH: usize = 64;
+
+/// One source's block of upcoming arrival cycles, consumed front to back.
+struct ArrivalBlock {
+    cycles: [u64; ARRIVAL_BATCH],
+    next: usize,
+}
+
+impl Default for ArrivalBlock {
+    /// An empty block: the first `peek` needs a `refill`.
+    fn default() -> Self {
+        ArrivalBlock { cycles: [0; ARRIVAL_BATCH], next: ARRIVAL_BATCH }
+    }
+}
+
+impl ArrivalBlock {
+    fn is_empty(&self) -> bool {
+        self.next == ARRIVAL_BATCH
+    }
+
+    fn refill(&mut self, gen: &mut ArrivalGen) {
+        gen.fill(&mut self.cycles);
+        self.next = 0;
+    }
+
+    fn peek(&self) -> u64 {
+        self.cycles[self.next]
+    }
+
+    fn advance(&mut self) {
+        self.next += 1;
+    }
+}
+
+/// The clock reads of one sampled arrival: dispatch ran from `t0` to
+/// `t1`, admission from `t1` until the guard drops.
+struct SampledArrival<'a> {
+    clock: &'a mut PhaseClock,
+    t0: Instant,
+    t1: Instant,
+}
+
+impl Drop for SampledArrival<'_> {
+    fn drop(&mut self) {
+        let t2 = Instant::now();
+        let floor = self.clock.read_floor_ns;
+        let ns = |d: std::time::Duration| {
+            u64::try_from(d.as_nanos()).unwrap_or(u64::MAX).saturating_sub(floor)
+        };
+        self.clock.samples += 1;
+        self.clock.sampled_dispatch_ns += ns(self.t1 - self.t0);
+        self.clock.sampled_admission_ns += ns(t2 - self.t1);
+    }
+}
+
+/// Every `2^PHASE_SAMPLE_LOG2`-th arrival (by arrival index, so the
+/// choice is deterministic) reads the clock around its dispatch and
+/// admission; the other arrivals pay no clock read at all.
+const PHASE_SAMPLE_LOG2: u32 = 6;
+
+/// Nanoseconds since `t`, saturating.
+fn ns_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The wall-clock side of a profiled online run, tallied in plain
+/// integers and flushed once.
+///
+/// Refills, the schedule evaluation and the SLO fold are rare, so they
+/// are timed exactly.  Dispatch and admission run once per arrival —
+/// millions of times — so only every `2^PHASE_SAMPLE_LOG2`-th arrival is
+/// timed and the walls are estimated by scaling those samples to all
+/// arrivals.  The estimate is capped at the loop time the exact phases
+/// leave free, and whatever the run spent outside every phase goes to
+/// the profiler's residual, so the phases plus the residual partition
+/// the run's wall clock with no term negative.  `calls` stay exact: one
+/// per arrival for dispatch and admission.
+struct PhaseClock {
+    profiler: Profiler,
+    phases: OnlinePhases,
+    run_start: Instant,
+    /// The cheapest back-to-back clock-read pair: the read overhead one
+    /// sampled interval carries, subtracted from each sample.
+    read_floor_ns: u64,
+    arrival_calls: u64,
+    arrival_ns: u64,
+    /// The part of `arrival_ns` spent inside the event loop.
+    arrival_loop_ns: u64,
+    schedule_ns: u64,
+    slo_ns: u64,
+    loop_start: Option<Instant>,
+    loop_ns: u64,
+    samples: u64,
+    sampled_dispatch_ns: u64,
+    sampled_admission_ns: u64,
+}
+
+impl PhaseClock {
+    fn start(profiler: &Profiler) -> PhaseClock {
+        let read_floor_ns = (0..16)
+            .map(|_| {
+                let t = Instant::now();
+                ns_since(t)
+            })
+            .min()
+            .unwrap_or(0);
+        PhaseClock {
+            profiler: profiler.clone(),
+            phases: OnlinePhases {
+                arrival: profiler.phase("arrival-sampling"),
+                dispatch: profiler.phase("dispatch"),
+                admission: profiler.phase("admission"),
+                schedule: profiler.phase("schedule-eval"),
+                slo: profiler.phase("slo-fold"),
+            },
+            run_start: Instant::now(),
+            read_floor_ns,
+            arrival_calls: 0,
+            arrival_ns: 0,
+            arrival_loop_ns: 0,
+            schedule_ns: 0,
+            slo_ns: 0,
+            loop_start: None,
+            loop_ns: 0,
+            samples: 0,
+            sampled_dispatch_ns: 0,
+            sampled_admission_ns: 0,
+        }
+    }
+
+    /// One refill scope: timed exactly.
+    fn arrival(&mut self, t: Instant) {
+        let ns = ns_since(t);
+        self.arrival_calls += 1;
+        self.arrival_ns += ns;
+        if self.loop_start.is_some() {
+            self.arrival_loop_ns += ns;
+        }
+    }
+
+    /// Flushes into the phases: `arrivals` dispatch/admission calls,
+    /// sampled walls scaled up, the rest of the run into the residual.
+    fn flush(&self, arrivals: u64) {
+        let run_ns = ns_since(self.run_start);
+        let scale = |sampled: u64| {
+            let est = u128::from(sampled) * u128::from(arrivals) / u128::from(self.samples.max(1));
+            u64::try_from(est).unwrap_or(u64::MAX)
+        };
+        let (mut dispatch, mut admission) =
+            (scale(self.sampled_dispatch_ns), scale(self.sampled_admission_ns));
+        // Never attribute more than the loop left free.
+        let free = self.loop_ns.saturating_sub(self.arrival_loop_ns);
+        let claimed = dispatch.saturating_add(admission);
+        if claimed > free {
+            dispatch = u64::try_from(u128::from(dispatch) * u128::from(free) / u128::from(claimed))
+                .unwrap_or(free);
+            admission = free - dispatch;
+        }
+        let ph = &self.phases;
+        ph.arrival.record(self.arrival_calls, self.arrival_ns);
+        ph.dispatch.record(arrivals, dispatch);
+        ph.admission.record(arrivals, admission);
+        // Two schedule-eval scopes (cycle tables before the loop, report
+        // evaluation after it) and one SLO fold.
+        ph.schedule.record(2, self.schedule_ns);
+        ph.slo.record(1, self.slo_ns);
+        let attributed = [self.arrival_ns, dispatch, admission, self.schedule_ns, self.slo_ns]
+            .into_iter()
+            .fold(0u64, u64::saturating_add);
+        self.profiler.add_residual(run_ns.saturating_sub(attributed));
+    }
 }
 
 /// How [`run_online_with_metrics`] records per-job metrics.
@@ -575,13 +752,7 @@ pub fn run_online_with_metrics(
     }
     let _wall = telemetry.metrics.timer("engine.run_online_ns");
     let m = &telemetry.metrics;
-    let phases = profiler.map(|p| OnlinePhases {
-        arrival: p.phase("arrival-sampling"),
-        dispatch: p.phase("dispatch"),
-        admission: p.phase("admission"),
-        schedule: p.phase("schedule-eval"),
-        slo: p.phase("slo-fold"),
-    });
+    let mut clock = profiler.map(PhaseClock::start);
 
     // Precision policies apply once; per-(source × shard) cycle numbers
     // are computed up front — the event loop then runs on pure integers.
@@ -591,20 +762,24 @@ pub fn run_online_with_metrics(
     let mut estimate = vec![0u64; config.sources.len() * n_shards];
     let mut exact = vec![0u64; config.sources.len() * n_shards];
     {
-        let _g = phases.as_ref().map(|ph| ph.schedule.enter());
+        let t = clock.is_some().then(Instant::now);
         for (si, net) in networks.iter().enumerate() {
             for (hi, shard) in config.shards.iter().enumerate() {
                 estimate[si * n_shards + hi] = estimate_cycles_for(&shard.accel, net);
                 exact[si * n_shards + hi] = schedule_cycles_for(&shard.accel, net)?;
             }
         }
+        if let (Some(c), Some(t)) = (clock.as_mut(), t) {
+            c.schedule_ns += ns_since(t);
+        }
     }
 
-    // The heap holds *arrivals only* (payload = source index); shard
-    // completions live in per-lane monotone FIFOs and pop as coalesced
-    // same-cycle bursts.  The merge below preserves the unified queue's
-    // exact (time, priority, seq) order — see `CompletionLanes`.
-    let mut events: EventQueue<usize> = EventQueue::new();
+    // Arrivals wait in one head slot per source (each source has at most
+    // one pending); shard completions live in per-lane monotone FIFOs and
+    // pop as coalesced same-cycle bursts.  The merge below preserves a
+    // unified queue's exact (time, priority, seq) order — see
+    // `ArrivalHeads` and `CompletionLanes`.
+    let mut heads = ArrivalHeads::new(config.sources.len());
     let mut lanes = CompletionLanes::new(n_shards);
     let mut gens: Vec<ArrivalGen> = config
         .sources
@@ -617,30 +792,31 @@ pub fn run_online_with_metrics(
             ArrivalGen::new(s.process.clone(), seed)
         })
         .collect();
-    // Per-source arrival buffers, refilled in batches through the
-    // sampler's fast path.  The heap only ever holds each source's
-    // *next* arrival (exactly as before), so push gating — horizon and
-    // max_jobs — happens at the same moments and the report is
-    // unchanged; a buffered timestamp past the horizon stays put as a
-    // sentinel, so a dead source is never refilled again.
-    const ARRIVAL_BATCH: usize = 64;
-    let mut arrival_bufs: Vec<VecDeque<u64>> =
-        config.sources.iter().map(|_| VecDeque::with_capacity(ARRIVAL_BATCH)).collect();
+    // Per-source blocks of upcoming arrivals, refilled through the
+    // sampler's lockstep fast path.  The heads only ever hold each
+    // source's *next* arrival, so push gating — horizon and max_jobs —
+    // happens per arrival; a buffered timestamp past the horizon stays
+    // put as a sentinel, so a dead source is never refilled again.
+    let mut arrival_bufs: Vec<ArrivalBlock> =
+        config.sources.iter().map(|_| ArrivalBlock::default()).collect();
     let mut arrivals_pushed = 0u64;
     let mut arrival_samples = 0u64;
     let mut arrival_refills = 0u64;
     {
-        let _g = phases.as_ref().map(|ph| ph.arrival.enter());
+        let t = clock.is_some().then(Instant::now);
         for (i, g) in gens.iter_mut().enumerate() {
-            g.refill(ARRIVAL_BATCH, &mut arrival_bufs[i]);
+            arrival_bufs[i].refill(g);
             arrival_refills += 1;
             arrival_samples += ARRIVAL_BATCH as u64;
-            let t = arrival_bufs[i][0];
+            let t = arrival_bufs[i].peek();
             if t <= config.horizon_cycles && arrivals_pushed < config.max_jobs {
-                arrival_bufs[i].pop_front();
-                events.push(t, PRIORITY_ARRIVAL, i);
+                arrival_bufs[i].advance();
+                heads.push(i, t);
                 arrivals_pushed += 1;
             }
+        }
+        if let (Some(c), Some(t)) = (clock.as_mut(), t) {
+            c.arrival(t);
         }
     }
 
@@ -724,12 +900,16 @@ pub fn run_online_with_metrics(
     };
     let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
     let mut completion_bursts = 0u64;
+    const SAMPLE_MASK: u64 = (1 << PHASE_SAMPLE_LOG2) - 1;
 
+    if let Some(c) = clock.as_mut() {
+        c.loop_start = Some(Instant::now());
+    }
     loop {
-        // Merge the arrival heap with the completion lanes: at equal
+        // Merge the arrival heads with the completion lanes: at equal
         // times completions come first (the PRIORITY_COMPLETION rule),
         // so `c <= a` picks the burst.
-        let (now, is_completion) = match (lanes.peek_time(), events.peek_time()) {
+        let (now, is_completion) = match (lanes.peek_time(), heads.peek_time()) {
             (Some(c), Some(a)) if c <= a => (c, true),
             (Some(c), None) => (c, true),
             (None, Some(a)) => (a, false),
@@ -757,7 +937,7 @@ pub fn run_online_with_metrics(
             }
             continue;
         }
-        let (_, source) = events.pop().expect("peeked arrival");
+        let (_, source) = heads.pop().expect("peeked arrival");
 
         // Keep the source's stream flowing before anything else, so
         // admission decisions can't perturb arrival times.  The buffer
@@ -765,15 +945,18 @@ pub fn run_online_with_metrics(
         // per arrival, exactly as the per-draw path did.
         {
             if arrival_bufs[source].is_empty() {
-                let _g = phases.as_ref().map(|ph| ph.arrival.enter());
-                gens[source].refill(ARRIVAL_BATCH, &mut arrival_bufs[source]);
+                let t = clock.is_some().then(Instant::now);
+                arrival_bufs[source].refill(&mut gens[source]);
+                if let (Some(c), Some(t)) = (clock.as_mut(), t) {
+                    c.arrival(t);
+                }
                 arrival_refills += 1;
                 arrival_samples += ARRIVAL_BATCH as u64;
             }
-            let next = arrival_bufs[source][0];
+            let next = arrival_bufs[source].peek();
             if next <= config.horizon_cycles && arrivals_pushed < config.max_jobs {
-                arrival_bufs[source].pop_front();
-                events.push(next, PRIORITY_ARRIVAL, source);
+                arrival_bufs[source].advance();
+                heads.push(source, next);
                 arrivals_pushed += 1;
             }
         }
@@ -781,21 +964,26 @@ pub fn run_online_with_metrics(
         let tmpl = &config.sources[source].template;
         let seq = per_source_seq[source];
         per_source_seq[source] += 1;
+        let sampled = clock.is_some() && (submitted & SAMPLE_MASK) == 0;
         submitted += 1;
         sink.on_submitted();
 
-        let hi = {
-            let _g = phases.as_ref().map(|ph| ph.dispatch.enter());
-            choose_shard(
-                config.policy,
-                now,
-                &shards,
-                &mut rr_cursor,
-                &tenant_cycles,
-                source,
-            )
-        };
-        let _g_admission = phases.as_ref().map(|ph| ph.admission.enter());
+        let t_dispatch = sampled.then(Instant::now);
+        let hi = choose_shard(
+            config.policy,
+            now,
+            &shards,
+            &mut rr_cursor,
+            &tenant_cycles,
+            source,
+        );
+        // Admission ends at every `continue` below; the sample closes
+        // when this guard drops.
+        let _sample = t_dispatch.zip(clock.as_mut()).map(|(t0, clock)| SampledArrival {
+            clock,
+            t0,
+            t1: Instant::now(),
+        });
         let shard_name = config.shards[hi].name.as_str();
         let backlog = shards[hi].busy_until.saturating_sub(now);
         shards[hi].peak_backlog_cycles = shards[hi].peak_backlog_cycles.max(backlog);
@@ -935,6 +1123,9 @@ pub fn run_online_with_metrics(
             events_truncated += 1;
         }
     }
+    if let Some(c) = clock.as_mut() {
+        c.loop_ns = c.loop_start.map_or(0, ns_since);
+    }
     // The drop count is also a counter, so a truncated decision log is
     // visible in every metrics export, not just in the report.
     m.counter("engine.decision_log.truncated").add(events_truncated);
@@ -942,7 +1133,7 @@ pub fn run_online_with_metrics(
     // Report-evaluation phase: the only parallel section.  One
     // NetworkReport per distinct (source × shard) pair that completed at
     // least one job; merged by pair index, so worker count is invisible.
-    let g_schedule = phases.as_ref().map(|ph| ph.schedule.enter());
+    let t_schedule = clock.is_some().then(Instant::now);
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     {
         let mut seen = vec![false; config.sources.len() * n_shards];
@@ -984,13 +1175,15 @@ pub fn run_online_with_metrics(
     for (&pair, report) in pairs.iter().zip(reports) {
         pair_reports.insert(pair, report?);
     }
-    drop(g_schedule);
+    if let (Some(c), Some(t)) = (clock.as_mut(), t_schedule) {
+        c.schedule_ns += ns_since(t);
+    }
 
     // Serial SLO fold.  Order never matters for the accountant's BTree
     // state, but folding deferred decisions then completions keeps the
     // walk obvious.  The window width derives from the full horizon —
     // completions may legitimately land past the arrival horizon.
-    let g_slo = phases.as_ref().map(|ph| ph.slo.enter());
+    let t_slo = clock.is_some().then(Instant::now);
     let makespan = completed_recs.iter().map(|r| r.completion).max().unwrap_or(0);
     let horizon = config.horizon_cycles.max(makespan);
     let mut acc = SloAccountant::new(window_width_for_horizon(horizon));
@@ -1038,7 +1231,9 @@ pub fn run_online_with_metrics(
     let completed = completed_recs.len() as u64;
     let slo_observations = acc.observations();
     let slo_report = acc.report();
-    drop(g_slo);
+    if let (Some(c), Some(t)) = (clock.as_mut(), t_slo) {
+        c.slo_ns += ns_since(t);
+    }
     m.gauge("engine.online.makespan_cycles").set(makespan.min(i64::MAX as u64) as i64);
 
     // Flush the batched per-job metrics into the registry exactly once.
@@ -1060,22 +1255,24 @@ pub fn run_online_with_metrics(
     // value below is a pure function of `config` (the parallel report
     // phase merges by pair index), so the counter side of the profile is
     // byte-identical at any worker count.
-    if let Some(ph) = phases.as_ref() {
+    if let Some(c) = clock.as_ref() {
+        c.flush(submitted);
+        let ph = &c.phases;
         ph.arrival.add("samples", arrival_samples);
         ph.arrival.add("refills", arrival_refills);
         ph.arrival.add("arrivals_enqueued", arrivals_pushed);
 
-        // Logical event deliveries (arrivals + completions); actual
-        // BinaryHeap traffic is arrivals-only — completions move through
-        // the monotone lanes and surface as `lane_pushes` /
-        // `completion_bursts`.
-        ph.dispatch.add("events_popped", events.pops() + lanes.pops());
+        // Logical event deliveries (arrivals + completions).  `heap_*`
+        // count arrival-queue traffic (pushes into and pops from the
+        // per-source heads); completions move through the monotone lanes
+        // and surface as `lane_pushes` / `completion_bursts`.
+        ph.dispatch.add("events_popped", heads.pops() + lanes.pops());
         ph.dispatch.add("arrivals_popped", submitted);
         ph.dispatch.add("completions_popped", lanes.pops());
         ph.dispatch.add("completion_bursts", completion_bursts);
         ph.dispatch.add("lane_pushes", lanes.pushes());
-        ph.dispatch.add("heap_pushes", events.pushes());
-        ph.dispatch.add("heap_ops", events.pushes() + events.pops());
+        ph.dispatch.add("heap_pushes", heads.pushes());
+        ph.dispatch.add("heap_ops", heads.pushes() + heads.pops());
         ph.dispatch.add("decisions", submitted);
         // Shards examined per decision: round-robin reads one cursor,
         // the other policies scan every shard.
@@ -1249,6 +1446,7 @@ mod tests {
                 for p in &mut snap.phases {
                     p.wall_ns = 0;
                 }
+                snap.residual_ns = 0;
                 profile_json(&snap)
             })
             .collect();
@@ -1285,6 +1483,37 @@ mod tests {
             plain.submitted,
             "every arrival is observed exactly once"
         );
+    }
+
+    #[test]
+    fn sampled_phase_clock_keeps_exact_calls_and_never_over_attributes() {
+        let config = quick_config(DispatchPolicy::LeastOutstanding, Some(2));
+        let prof = Profiler::new();
+        let started = Instant::now();
+        let report = run_online_profiled(&config, &Telemetry::metrics_only(), Some(&prof)).unwrap();
+        let run_wall_ns = ns_since(started);
+        let snap = prof.snapshot();
+        let phase = |name: &str| snap.phase(name).unwrap_or_else(|| panic!("missing phase {name}"));
+        // Calls are exact even though only every 2^k-th arrival reads the
+        // clock: one per arrival for dispatch and admission, one per
+        // refill scope (the priming refill of all sources is one scope).
+        assert!(report.submitted > 1 << PHASE_SAMPLE_LOG2, "several arrivals are sampled");
+        assert_eq!(phase("dispatch").calls, report.submitted);
+        assert_eq!(phase("admission").calls, report.submitted);
+        let arrival = phase("arrival-sampling");
+        assert_eq!(
+            arrival.calls,
+            arrival.counter("refills") - config.sources.len() as u64 + 1
+        );
+        assert_eq!((phase("schedule-eval").calls, phase("slo-fold").calls), (2, 1));
+        // The phase walls plus the residual are the run's own wall clock:
+        // a partition of at most the time measured around the call.
+        let accounted = snap.total_wall_ns() + snap.residual_ns;
+        assert!(
+            accounted <= run_wall_ns,
+            "phases + residual ({accounted} ns) exceed the run's wall clock ({run_wall_ns} ns)"
+        );
+        assert!(arrival.wall_ns > 0 && snap.residual_ns > 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! virtual clock.  Online serving needs the same determinism with
 //! *interleaved* event streams — job arrivals from open-loop traffic
 //! generators racing shard completions — so this module provides the
-//! two building blocks both modes share:
+//! building blocks both modes share:
 //!
 //! * [`EventQueue`]: a binary-heap priority queue whose total order is
 //!   the triple `(time, priority, seq)`.  At equal times, completions
@@ -15,14 +15,47 @@
 //!   — nothing about heap internals or hash order leaks into results,
 //!   which is what makes every consumer bit-identical at any worker
 //!   count.
+//! * [`ArrivalHeads`] and [`CompletionLanes`]: the online loop's split
+//!   form of that queue — one pending arrival per source, monotone
+//!   completion FIFOs per shard — delivering the identical order.
 //! * [`ArrivalGen`]: seeded open-loop arrival processes on the integer
 //!   cycle clock — Poisson via an inverse-CDF in fixed point (no
 //!   floats, so no platform-dependent rounding), bursty on/off gating,
 //!   and diurnal rate tables.  Inter-arrival gaps are clamped to ≥ 1
-//!   cycle so every generator makes progress.
+//!   cycle so every generator makes progress, and every timestamp add
+//!   saturates at `u64::MAX` instead of wrapping.
 //!
 //! All arithmetic is integer (Q32 fixed point where fractions are
 //! needed); nothing reads wall time.
+//!
+//! # The lockstep sampler
+//!
+//! An exponential draw is `mean · (−ln(u / 2⁶⁴))`, and the costly part,
+//! the Q32 `−ln`, is a 32-step shift-and-square chain in which each step
+//! waits on the previous multiply.  [`ArrivalGen::fill`] (and
+//! [`ArrivalGen::refill`] on top of it) therefore works on a block of
+//! draws — 64 per refill in the online loop: it takes the block's RNG
+//! words first, computes their `−ln` values eight chains at a time in
+//! lockstep (independent multiplies back to back), and then runs one
+//! cheap serial pass of the process's timestamp recurrence.  The result
+//! is
+//! **bit-exact** with the scalar [`ArrivalGen::next_arrival`]:
+//!
+//! * the RNG words are the same words in the same order — the generator
+//!   advances identically whether a timestamp is built between draws or
+//!   after the block;
+//! * `−ln(u)` is a pure function of the word — it depends on neither the
+//!   mean nor earlier draws, so Poisson, bursty and diurnal sources share
+//!   the one block kernel, and only their recurrences differ;
+//! * the block kernel performs the scalar kernel's integer operations,
+//!   with the data-dependent branches rewritten as arithmetic on the same
+//!   condition bits (see `neg_ln_block`);
+//! * the recurrence pass uses the scalar path's exact expressions,
+//!   including its saturation.
+//!
+//! Tests pin this draw for draw: 10⁶ draws per process at refill sizes
+//! that straddle the 8-lane and 64-draw widths, and the kernel on every
+//! boundary word (0, 1, each `2ᵏ` and `2ᵏ ± 1`, `u64::MAX`).
 
 use bsc_netlist::rng::Rng64;
 use std::cmp::Reverse;
@@ -132,6 +165,92 @@ impl<T> EventQueue<T> {
     }
 }
 
+/// The arrival queue of an online run: one head slot per traffic source.
+///
+/// Each source has at most one pending arrival — its next one is pushed
+/// only after the current one pops — so a heap is more machinery than
+/// the queue needs.  A `(time, seq)` min-scan over the S head slots
+/// yields exactly the order an [`EventQueue`] holding the same arrivals
+/// at [`PRIORITY_ARRIVAL`] would: `seq` is the same global push counter,
+/// and with one priority class the heap's `(time, priority, seq)` key
+/// reduces to `(time, seq)`.  A pop costs one O(S) scan; pushes are
+/// O(1).  `tests/des_conformance.rs` pins the pop order against
+/// [`EventQueue`] on seeded interleavings full of equal timestamps.
+pub struct ArrivalHeads {
+    /// `(time, seq)` per source; [`ArrivalHeads::EMPTY`] marks a free
+    /// slot, which sorts after every live head.
+    heads: Vec<(u64, u64)>,
+    /// Index of the earliest live head (meaningful while `len > 0`).
+    min: usize,
+    len: usize,
+    next_seq: u64,
+    pops: u64,
+}
+
+impl ArrivalHeads {
+    /// A free slot.  No live head can equal it: its `seq` would need
+    /// 2⁶⁴ − 1 earlier pushes.
+    const EMPTY: (u64, u64) = (u64::MAX, u64::MAX);
+
+    /// Empty heads for `n_sources` sources.
+    pub fn new(n_sources: usize) -> Self {
+        ArrivalHeads { heads: vec![Self::EMPTY; n_sources], min: 0, len: 0, next_seq: 0, pops: 0 }
+    }
+
+    /// Sets `source`'s pending arrival to `time`.  The source must have
+    /// none pending.
+    pub fn push(&mut self, source: usize, time: u64) {
+        assert_eq!(
+            self.heads[source],
+            Self::EMPTY,
+            "source {source} already has a pending arrival"
+        );
+        let key = (time, self.next_seq);
+        self.next_seq += 1;
+        self.heads[source] = key;
+        if self.len == 0 || key < self.heads[self.min] {
+            self.min = source;
+        }
+        self.len += 1;
+    }
+
+    /// The earliest pending arrival time.
+    pub fn peek_time(&self) -> Option<u64> {
+        (self.len > 0).then(|| self.heads[self.min].0)
+    }
+
+    /// Removes the earliest pending arrival as `(time, source)`.
+    pub fn pop(&mut self) -> Option<(u64, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let source = self.min;
+        let time = self.heads[source].0;
+        self.heads[source] = Self::EMPTY;
+        self.len -= 1;
+        self.pops += 1;
+        // Seqs are unique, so the minimum is unique among live heads;
+        // with none left every slot is EMPTY and `min` is unused.
+        self.min = (0..self.heads.len()).min_by_key(|&i| self.heads[i]).unwrap_or(0);
+        Some((time, source))
+    }
+
+    /// Lifetime number of pushes.
+    pub fn pushes(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Lifetime number of pops.
+    pub fn pops(&self) -> u64 {
+        self.pops
+    }
+
+    /// Whether no arrival is pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Per-lane FIFO queues of completion timestamps, popped in coalesced
 /// same-cycle bursts.
 ///
@@ -161,6 +280,9 @@ pub struct CompletionLanes {
     lanes: Vec<VecDeque<(u64, u64)>>,
     /// Scratch for sorting one burst by push seq (reused across pops).
     scratch: Vec<(u64, usize)>,
+    /// The earliest pending completion cycle, kept current by `push` and
+    /// `pop_burst` so that peeking — once per event — is O(1).
+    earliest: Option<u64>,
     next_seq: u64,
     len: usize,
     pops: u64,
@@ -172,6 +294,7 @@ impl CompletionLanes {
         CompletionLanes {
             lanes: (0..n_lanes).map(|_| VecDeque::new()).collect(),
             scratch: Vec::new(),
+            earliest: None,
             next_seq: 0,
             len: 0,
             pops: 0,
@@ -189,11 +312,12 @@ impl CompletionLanes {
         self.next_seq += 1;
         self.lanes[lane].push_back((time, seq));
         self.len += 1;
+        self.earliest = Some(self.earliest.map_or(time, |t| t.min(time)));
     }
 
     /// The earliest pending completion cycle across all lanes.
     pub fn peek_time(&self) -> Option<u64> {
-        self.lanes.iter().filter_map(|l| l.front()).map(|&(t, _)| t).min()
+        self.earliest
     }
 
     /// Pops **every** completion due at the earliest pending cycle into
@@ -217,6 +341,7 @@ impl CompletionLanes {
         out.extend(self.scratch.iter().map(|&(_, lane)| lane));
         self.len -= out.len();
         self.pops += out.len() as u64;
+        self.earliest = self.lanes.iter().filter_map(|l| l.front()).map(|&(t, _)| t).min();
         Some(t)
     }
 
@@ -275,14 +400,74 @@ pub fn neg_ln_unit_q32(u: u64) -> u64 {
     ((u128::from(diff) * u128::from(LN2_Q32)) >> 32) as u64
 }
 
-/// An exponential inter-arrival sample with the given mean, from one
-/// uniform 64-bit word: `Δ = mean · (−ln(u/2⁶⁴))`, computed entirely in
-/// integer Q32 and clamped to ≥ 1 cycle so generators always advance.
-fn sample_exponential(rng: &mut Rng64, mean_cycles: u64) -> u64 {
-    let u = rng.next_u64();
-    let q = neg_ln_unit_q32(u);
-    let delta = ((u128::from(mean_cycles.max(1)) * u128::from(q)) >> 32) as u64;
-    delta.max(1)
+/// Draws advanced in lockstep by [`neg_ln_block`]: enough independent
+/// squaring chains to hide the multiply latency of each one.
+const LANES: usize = 8;
+
+/// Draws per [`ArrivalGen::refill`] stack block.
+const BLOCK: usize = 64;
+
+/// [`neg_ln_unit_q32`] over one lane group, the chains advanced in
+/// lockstep.  Bit-identical to the scalar kernel word for word:
+///
+/// * `(u << lz) >> 31` is the scalar mantissa normalization without its
+///   branch — for `msb ≥ 32` it drops the same low bits as
+///   `u >> (msb − 32)`, and for `msb < 32` both shifts are exact;
+/// * each squaring step is the scalar step with the `if` turned into
+///   arithmetic on its condition bit, `hi = sq >> 33` (the square is
+///   below `2³⁴`, so `hi` is that condition exactly), and the fraction
+///   bits shifted in from the right instead of or-ed in at `32 − i`;
+/// * the final `ln 2` scaling is the scalar expression.
+///
+/// Nothing couples the lanes, so the step-`i` squarings of all eight
+/// words are independent and issue back to back instead of waiting on
+/// one 32-step serial chain.
+fn neg_ln_block(words: &mut [u64; LANES]) {
+    let mut msb = [0u64; LANES];
+    let mut x = [0u64; LANES];
+    for l in 0..LANES {
+        let u = words[l].max(1);
+        let lz = u.leading_zeros();
+        msb[l] = 63 - u64::from(lz);
+        x[l] = (u << lz) >> 31;
+    }
+    // Step i's bit lands at 32 − i after the remaining 32 − i doublings,
+    // exactly where the scalar `frac |= 1 << (32 − i)` puts it.
+    let mut frac = [0u64; LANES];
+    for _ in 0..32 {
+        for l in 0..LANES {
+            let sq = ((u128::from(x[l]) * u128::from(x[l])) >> 32) as u64;
+            let hi = sq >> 33;
+            x[l] = sq >> hi;
+            frac[l] = (frac[l] << 1) | hi;
+        }
+    }
+    for l in 0..LANES {
+        let diff = (64u64 << 32) - ((msb[l] << 32) | frac[l]);
+        words[l] = ((u128::from(diff) * u128::from(LN2_Q32)) >> 32) as u64;
+    }
+}
+
+/// One exponential gap `mean · q` from a Q32 `−ln` value `q`, clamped to
+/// ≥ 1 cycle so generators always advance and saturated at `u64::MAX`
+/// (a mean near `u64::MAX` times `q` up to ~44 overflows 64 bits).
+fn scale_q32(mean_cycles: u64, q: u64) -> u64 {
+    let delta = (u128::from(mean_cycles.max(1)) * u128::from(q)) >> 32;
+    u64::try_from(delta).unwrap_or(u64::MAX).max(1)
+}
+
+/// Maps active (on-window) time onto the wall clock by inserting one
+/// off-window after every completed on-window, saturating instead of
+/// wrapping.
+fn bursty_warp(active: u64, on: u64, period: u64) -> u64 {
+    (active / on).saturating_mul(period).saturating_add(active % on)
+}
+
+/// The length of one diurnal day (the table's summed segment durations,
+/// each clamped to ≥ 1), saturating.
+fn diurnal_day(segments: &[DiurnalSegment]) -> u64 {
+    assert!(!segments.is_empty(), "diurnal table must be non-empty");
+    segments.iter().fold(0u64, |day, s| day.saturating_add(s.duration_cycles.max(1)))
 }
 
 /// The diurnal mean in force at day-position `pos` (callers reduce the
@@ -366,86 +551,113 @@ impl ArrivalGen {
     }
 
     /// The next arrival's absolute cycle.  Strictly increasing (gaps
-    /// are clamped to ≥ 1 cycle).
+    /// are clamped to ≥ 1 cycle) until the clock saturates at
+    /// `u64::MAX`, where it stays.
+    ///
+    /// This is the scalar reference of [`ArrivalGen::refill`]: one RNG
+    /// word and one serial [`neg_ln_unit_q32`] per call.
     pub fn next_arrival(&mut self) -> u64 {
+        let q = neg_ln_unit_q32(self.rng.next_u64());
         match &self.process {
             ArrivalProcess::Poisson { mean_interarrival_cycles } => {
-                let mean = *mean_interarrival_cycles;
-                self.last_cycle += sample_exponential(&mut self.rng, mean);
-                self.last_cycle
+                self.last_cycle =
+                    self.last_cycle.saturating_add(scale_q32(*mean_interarrival_cycles, q));
             }
             ArrivalProcess::Bursty { on_cycles, off_cycles, mean_interarrival_cycles } => {
-                // Poisson on the active-time axis, then warp active time
-                // onto the wall clock by inserting one off-window after
-                // every completed on-window.
-                let (on, off, mean) =
-                    ((*on_cycles).max(1), *off_cycles, *mean_interarrival_cycles);
-                self.active_cycles += sample_exponential(&mut self.rng, mean);
-                let a = self.active_cycles;
-                self.last_cycle = (a / on) * (on + off) + a % on;
-                self.last_cycle
+                // Poisson on the active-time axis, then warped onto the
+                // wall clock.
+                let on = (*on_cycles).max(1);
+                self.active_cycles =
+                    self.active_cycles.saturating_add(scale_q32(*mean_interarrival_cycles, q));
+                self.last_cycle =
+                    bursty_warp(self.active_cycles, on, on.saturating_add(*off_cycles));
             }
             ArrivalProcess::Diurnal { segments } => {
-                assert!(!segments.is_empty(), "diurnal table must be non-empty");
-                let day: u64 =
-                    segments.iter().map(|s| s.duration_cycles.max(1)).sum();
                 // Segment in force at the previous event's timestamp.
-                let mean = diurnal_mean(segments, self.last_cycle % day.max(1));
-                self.last_cycle += sample_exponential(&mut self.rng, mean);
-                self.last_cycle
+                let mean = diurnal_mean(segments, self.last_cycle % diurnal_day(segments));
+                self.last_cycle = self.last_cycle.saturating_add(scale_q32(mean, q));
             }
+        }
+        self.last_cycle
+    }
+
+    /// Fills `out` with the next `out.len()` arrival cycles — the
+    /// lockstep fast path.  Produces **bit-identical** timestamps to
+    /// `out.len()` calls of [`ArrivalGen::next_arrival`]: it consumes the
+    /// same RNG words in the same order, and the Q32 `−ln` of a word
+    /// depends on nothing else (not on the mean, the process or earlier
+    /// draws).  So it runs three passes over `out`, in place:
+    ///
+    /// 1. draw the RNG words;
+    /// 2. turn them into `−ln` values eight at a time
+    ///    ([`neg_ln_block`]);
+    /// 3. one serial pass of the process's timestamp recurrence — the
+    ///    only per-process part, with the scalar path's exact integer
+    ///    arithmetic.
+    ///
+    /// Allocation-free.  `tests/des_conformance.rs` pins the equivalence
+    /// per process against the scalar reference.
+    pub fn fill(&mut self, out: &mut [u64]) {
+        for w in out.iter_mut() {
+            *w = self.rng.next_u64();
+        }
+        let mut groups = out.chunks_exact_mut(LANES);
+        for group in &mut groups {
+            neg_ln_block(group.try_into().expect("chunks_exact_mut yields LANES words"));
+        }
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            let mut group = [0u64; LANES];
+            group[..tail.len()].copy_from_slice(tail);
+            neg_ln_block(&mut group);
+            tail.copy_from_slice(&group[..tail.len()]);
+        }
+        self.timestamps(out);
+    }
+
+    /// Appends the next `n` arrival cycles to `out`, filled through
+    /// [`ArrivalGen::fill`] one stack block of up to 64 at a time.
+    pub fn refill(&mut self, n: usize, out: &mut VecDeque<u64>) {
+        let mut block = [0u64; BLOCK];
+        let mut left = n;
+        while left > 0 {
+            let len = left.min(BLOCK);
+            self.fill(&mut block[..len]);
+            out.extend(&block[..len]);
+            left -= len;
         }
     }
 
-    /// Appends the next `n` arrival cycles to `out` — the batched fast
-    /// path.  Produces **bit-identical** timestamps to `n` calls of
-    /// [`ArrivalGen::next_arrival`] (same RNG draws, same Q32
-    /// arithmetic), but amortizes the per-call setup the scalar path
-    /// repeats around every `-ln` evaluation: the clamped mean, the
-    /// bursty on/off warp constants and the diurnal day length are
-    /// hoisted once per refill, so consecutive draws from the same
-    /// source share one resolved Q32 sampling environment and the inner
-    /// loop is just `rng → neg_ln_unit_q32 → fixed-point scale`.
-    /// `tests/des_conformance.rs` pins the equivalence per process at
-    /// extreme rates.
-    pub fn refill(&mut self, n: usize, out: &mut VecDeque<u64>) {
-        out.reserve(n);
+    /// The serial pass of [`ArrivalGen::fill`]: replaces each Q32 `−ln`
+    /// value in `qs` by its arrival cycle.
+    fn timestamps(&mut self, qs: &mut [u64]) {
         match &self.process {
             ArrivalProcess::Poisson { mean_interarrival_cycles } => {
-                let mean = (*mean_interarrival_cycles).max(1);
+                let mean = *mean_interarrival_cycles;
                 let mut last = self.last_cycle;
-                for _ in 0..n {
-                    let q = neg_ln_unit_q32(self.rng.next_u64());
-                    last += (((u128::from(mean) * u128::from(q)) >> 32) as u64).max(1);
-                    out.push_back(last);
+                for q in qs {
+                    last = last.saturating_add(scale_q32(mean, *q));
+                    *q = last;
                 }
                 self.last_cycle = last;
             }
             ArrivalProcess::Bursty { on_cycles, off_cycles, mean_interarrival_cycles } => {
-                let (on, off, mean) =
-                    ((*on_cycles).max(1), *off_cycles, (*mean_interarrival_cycles).max(1));
-                let period = on + off;
+                let (on, mean) = ((*on_cycles).max(1), *mean_interarrival_cycles);
+                let period = on.saturating_add(*off_cycles);
                 let mut active = self.active_cycles;
-                let mut last = self.last_cycle;
-                for _ in 0..n {
-                    let q = neg_ln_unit_q32(self.rng.next_u64());
-                    active += (((u128::from(mean) * u128::from(q)) >> 32) as u64).max(1);
-                    last = (active / on) * period + active % on;
-                    out.push_back(last);
+                for q in qs {
+                    active = active.saturating_add(scale_q32(mean, *q));
+                    *q = bursty_warp(active, on, period);
                 }
                 self.active_cycles = active;
-                self.last_cycle = last;
+                self.last_cycle = bursty_warp(active, on, period);
             }
             ArrivalProcess::Diurnal { segments } => {
-                assert!(!segments.is_empty(), "diurnal table must be non-empty");
-                let day: u64 =
-                    segments.iter().map(|s| s.duration_cycles.max(1)).sum::<u64>().max(1);
+                let day = diurnal_day(segments);
                 let mut last = self.last_cycle;
-                for _ in 0..n {
-                    let mean = diurnal_mean(segments, last % day).max(1);
-                    let q = neg_ln_unit_q32(self.rng.next_u64());
-                    last += (((u128::from(mean) * u128::from(q)) >> 32) as u64).max(1);
-                    out.push_back(last);
+                for q in qs {
+                    last = last.saturating_add(scale_q32(diurnal_mean(segments, last % day), *q));
+                    *q = last;
                 }
                 self.last_cycle = last;
             }
@@ -489,6 +701,75 @@ mod tests {
             assert!(v < prev, "not decreasing at 2^{sh}");
             prev = v;
         }
+    }
+
+    #[test]
+    fn neg_ln_block_equals_the_scalar_kernel_on_boundary_words() {
+        let mut words = vec![0u64, 1, u64::MAX, u64::MAX - 1];
+        for k in 0..64 {
+            let p = 1u64 << k;
+            words.extend([p, p - 1, p + 1]);
+        }
+        for group in words.chunks(LANES) {
+            let mut block = [0u64; LANES];
+            block[..group.len()].copy_from_slice(group);
+            let expect = block.map(neg_ln_unit_q32);
+            neg_ln_block(&mut block);
+            assert_eq!(block, expect, "lockstep kernel diverged on {group:?}");
+        }
+    }
+
+    #[test]
+    fn timestamps_saturate_instead_of_wrapping() {
+        let processes = [
+            ArrivalProcess::Poisson { mean_interarrival_cycles: u64::MAX / 2 },
+            ArrivalProcess::Bursty {
+                on_cycles: 3,
+                off_cycles: u64::MAX - 1,
+                mean_interarrival_cycles: 5,
+            },
+            ArrivalProcess::Diurnal {
+                segments: vec![
+                    DiurnalSegment { duration_cycles: 9, mean_interarrival_cycles: u64::MAX },
+                    DiurnalSegment { duration_cycles: 10, mean_interarrival_cycles: u64::MAX / 3 },
+                ],
+            },
+        ];
+        for p in processes {
+            let mut scalar = ArrivalGen::new(p.clone(), 7);
+            let times: Vec<u64> = (0..200).map(|_| scalar.next_arrival()).collect();
+            for w in times.windows(2) {
+                assert!(
+                    w[0] < w[1] || w[1] == u64::MAX,
+                    "{p:?}: arrivals went backwards {} -> {}",
+                    w[0],
+                    w[1]
+                );
+            }
+            assert_eq!(times.last(), Some(&u64::MAX), "{p:?} should reach saturation");
+            let mut batched = ArrivalGen::new(p.clone(), 7);
+            let mut got = VecDeque::new();
+            batched.refill(times.len(), &mut got);
+            assert_eq!(Vec::from(got), times, "refill diverged from scalar for {p:?}");
+        }
+    }
+
+    #[test]
+    fn arrival_heads_pop_in_time_then_push_order() {
+        let mut heads = ArrivalHeads::new(3);
+        assert_eq!(heads.pop(), None);
+        heads.push(2, 10);
+        heads.push(0, 10);
+        heads.push(1, 5);
+        assert_eq!(heads.peek_time(), Some(5));
+        assert_eq!(heads.pop(), Some((5, 1)));
+        // Equal times pop in push order: source 2 was pushed first.
+        assert_eq!(heads.pop(), Some((10, 2)));
+        heads.push(1, 10);
+        assert_eq!(heads.pop(), Some((10, 0)));
+        assert_eq!(heads.pop(), Some((10, 1)));
+        assert!(heads.is_empty() && heads.peek_time().is_none());
+        assert_eq!((heads.pushes(), heads.pops()), (4, 4));
     }
 
     #[test]

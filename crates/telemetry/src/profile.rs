@@ -8,10 +8,16 @@
 //! very different kinds of signal:
 //!
 //! * **wall-clock nanoseconds** via RAII [`PhaseGuard`]s (modeled on
-//!   [`crate::ScopedTimer`]) — honest, machine-dependent, and therefore
-//!   excluded from every byte-determinism contract.  All wall fields are
-//!   exported under a `wall` section with `_ns` / `_per_sec` suffixed
-//!   names so the `repro diff` default ignore patterns skip them;
+//!   [`crate::ScopedTimer`]) or, in hot loops that cannot afford a clock
+//!   read per event, tallied by the caller in plain integers and flushed
+//!   once through [`PhaseHandle::record`] — honest, machine-dependent,
+//!   and therefore excluded from every byte-determinism contract.  All
+//!   wall fields are exported under a `wall` section with `_ns` /
+//!   `_per_sec` suffixed names so the `repro diff` default ignore
+//!   patterns skip them.  Time an instrumented loop spent outside every
+//!   phase goes to a wall-only residual ([`Profiler::add_residual`],
+//!   reported as [`RESIDUAL`]), so the phases plus the residual account
+//!   for the loop's whole wall clock;
 //! * **deterministic work counters** (events popped, heap ops, map
 //!   touches, metric increments, bytes written) — pure functions of the
 //!   input manifest, merged per-worker in index order by the callers, so
@@ -92,6 +98,14 @@ impl PhaseHandle {
         self.counter(name).add(n);
     }
 
+    /// Adds `calls` completed scopes and `wall_ns` nanoseconds that the
+    /// caller tallied itself — the flush of a hot loop that counts its
+    /// scopes with plain adds and reads the clock only now and then.
+    pub fn record(&self, calls: u64, wall_ns: u64) {
+        self.shared.calls.add(calls);
+        self.shared.wall_ns.add(wall_ns);
+    }
+
     /// Total wall-clock nanoseconds accumulated so far.
     pub fn wall_ns(&self) -> u64 {
         self.shared.wall_ns.get()
@@ -121,7 +135,14 @@ impl Drop for PhaseGuard {
 #[derive(Debug, Clone, Default)]
 pub struct Profiler {
     phases: Arc<Mutex<BTreeMap<String, PhaseHandle>>>,
+    /// Wall-clock nanoseconds no phase claims (see [`RESIDUAL`]).
+    residual_ns: Counter,
 }
+
+/// Name of the wall-only residual entry: wall clock an instrumented loop
+/// spent outside every phase.  It has no counters and no `calls`, so it
+/// never enters the gated `counters` section.
+pub const RESIDUAL: &str = "loop";
 
 impl Profiler {
     /// An empty profiler.
@@ -146,6 +167,12 @@ impl Profiler {
         self.phase(phase).add(counter, n);
     }
 
+    /// Adds `ns` of wall clock that no phase claims to the [`RESIDUAL`]
+    /// entry.
+    pub fn add_residual(&self, ns: u64) {
+        self.residual_ns.add(ns);
+    }
+
     /// A point-in-time copy of every phase, sorted by name.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let g = self.phases.lock().expect("profiler poisoned");
@@ -168,7 +195,7 @@ impl Profiler {
                 }
             })
             .collect();
-        ProfileSnapshot { phases }
+        ProfileSnapshot { phases, residual_ns: self.residual_ns.get() }
     }
 }
 
@@ -206,6 +233,8 @@ impl PhaseSnapshot {
 pub struct ProfileSnapshot {
     /// Every phase, sorted by name.
     pub phases: Vec<PhaseSnapshot>,
+    /// Wall-clock nanoseconds of the [`RESIDUAL`] entry.
+    pub residual_ns: u64,
 }
 
 impl ProfileSnapshot {
@@ -214,7 +243,8 @@ impl ProfileSnapshot {
         self.phases.iter().find(|p| p.name == name)
     }
 
-    /// Total wall-clock nanoseconds across all phases.
+    /// Total wall-clock nanoseconds across all phases (the [`RESIDUAL`]
+    /// is not a phase and is not included).
     pub fn total_wall_ns(&self) -> u64 {
         self.phases.iter().fold(0u64, |a, p| a.saturating_add(p.wall_ns))
     }
@@ -225,9 +255,10 @@ impl ProfileSnapshot {
 /// * `"counters"` — per phase: `calls` plus every deterministic work
 ///   counter.  This section is a pure function of the input and is gated
 ///   at `--tol 0`;
-/// * `"wall"` — per phase: `<phase>_ns`, plus `total_ns`.  Field names
-///   match the `repro diff` default ignore patterns (`*_ns`, `*wall*`),
-///   so wall-clock drift never fails a gate.
+/// * `"wall"` — per phase: `<phase>_ns`, plus `total_ns`, which also
+///   counts the [`RESIDUAL`] (so the residual is `total_ns` minus the
+///   phase entries).  Field names match the `repro diff` default ignore
+///   patterns (`*_ns`, `*wall*`), so wall-clock drift never fails a gate.
 pub fn write_profile_sections(j: &mut JsonBuilder, snap: &ProfileSnapshot) {
     j.key("counters").begin_object();
     for p in &snap.phases {
@@ -245,7 +276,7 @@ pub fn write_profile_sections(j: &mut JsonBuilder, snap: &ProfileSnapshot) {
         j.key(&format!("{}_ns", p.name)).u64(p.wall_ns);
     }
     j.end_object();
-    j.key("total_ns").u64(snap.total_wall_ns());
+    j.key("total_ns").u64(snap.total_wall_ns().saturating_add(snap.residual_ns));
     j.end_object();
 }
 
@@ -260,18 +291,20 @@ pub fn profile_json(snap: &ProfileSnapshot) -> String {
 }
 
 /// Renders the snapshot as folded stacks — one `root;phase weight` line
-/// per phase, weight in wall-clock microseconds (minimum 1 for any phase
-/// that consumed time) — the input format of `flamegraph.pl` and
+/// per phase, then a `root;loop` line for a nonzero [`RESIDUAL`], weight
+/// in wall-clock microseconds (minimum 1 for any entry that consumed
+/// time) — the input format of `flamegraph.pl` and
 /// `inferno-flamegraph`.  Phase names may use `/` for sub-phases; they
 /// are folded into stack separators (`;`).
 pub fn folded_stacks(snap: &ProfileSnapshot, root: &str) -> String {
+    let residual = (snap.residual_ns > 0).then_some((RESIDUAL, snap.residual_ns));
     let mut out = String::new();
-    for p in &snap.phases {
-        let us = (p.wall_ns / 1_000).max(u64::from(p.wall_ns > 0));
-        let frames = p.name.replace('/', ";");
+    let phases = snap.phases.iter().map(|p| (p.name.as_str(), p.wall_ns));
+    for (name, wall_ns) in phases.chain(residual) {
+        let us = (wall_ns / 1_000).max(u64::from(wall_ns > 0));
         out.push_str(root);
         out.push(';');
-        out.push_str(&frames);
+        out.push_str(&name.replace('/', ";"));
         out.push(' ');
         out.push_str(&us.to_string());
         out.push('\n');
@@ -354,6 +387,32 @@ mod tests {
         assert!(wall.get("phases").and_then(|p| p.get("dispatch_ns")).is_some());
         assert!(wall.get("total_ns").is_some());
         assert!(counters.get("dispatch_ns").is_none());
+    }
+
+    #[test]
+    fn recorded_tallies_and_the_residual_stay_out_of_the_counters() {
+        let prof = Profiler::new();
+        let ph = prof.phase("dispatch");
+        ph.record(1_000, 400);
+        ph.record(24, 100);
+        prof.add_residual(250);
+        let snap = prof.snapshot();
+        let p = snap.phase("dispatch").unwrap();
+        assert_eq!((p.calls, p.wall_ns), (1_024, 500));
+        assert_eq!(snap.residual_ns, 250);
+        assert_eq!(snap.total_wall_ns(), 500, "the residual is not a phase");
+        let v = parse_json(&profile_json(&snap)).expect("strict JSON");
+        let counters = v.get("counters").unwrap();
+        assert!(counters.get(RESIDUAL).is_none(), "the residual has no counters");
+        let calls = counters.get("dispatch").and_then(|d| d.get("calls"));
+        assert_eq!(calls.and_then(|c| c.as_f64()), Some(1024.0));
+        let wall = v.get("wall").unwrap();
+        // The document's total counts it, so the residual is total_ns
+        // minus the listed phases.
+        assert_eq!(wall.get("total_ns").and_then(|t| t.as_f64()), Some(750.0));
+        assert!(wall.get("phases").and_then(|p| p.get("loop_ns")).is_none());
+        let folded = folded_stacks(&snap, "online");
+        assert_eq!(folded.lines().last(), Some("online;loop 1"));
     }
 
     #[test]

@@ -178,6 +178,49 @@ fn refill_is_bit_exact_at_extreme_rates() {
     }
 }
 
+/// The lockstep sampler against its scalar reference at scale: for each
+/// process, 10^6 draws through [`ArrivalGen::refill`] at refill sizes
+/// straddling the 8-draw lane group and the 64-draw block must equal
+/// 10^6 [`ArrivalGen::next_arrival`] calls.
+#[test]
+fn lockstep_refill_equals_a_million_scalar_draws_per_process() {
+    use bsc_accel::des::DiurnalSegment;
+    const DRAWS: usize = 1_000_000;
+    let processes = [
+        ArrivalProcess::Poisson { mean_interarrival_cycles: 20 },
+        ArrivalProcess::Bursty {
+            on_cycles: 100_000,
+            off_cycles: 100_000,
+            mean_interarrival_cycles: 20,
+        },
+        ArrivalProcess::Diurnal {
+            segments: vec![
+                DiurnalSegment { duration_cycles: 1_000_000, mean_interarrival_cycles: 40 },
+                DiurnalSegment { duration_cycles: 1_000_000, mean_interarrival_cycles: 80 },
+            ],
+        },
+    ];
+    for process in processes {
+        let mut scalar = ArrivalGen::new(process.clone(), 20260808);
+        let mut lockstep = ArrivalGen::new(process.clone(), 20260808);
+        let mut buf = std::collections::VecDeque::new();
+        let mut drawn = 0;
+        for n in [1usize, 7, 8, 9, 63, 64].into_iter().cycle() {
+            let n = n.min(DRAWS - drawn);
+            if n == 0 {
+                break;
+            }
+            lockstep.refill(n, &mut buf);
+            for got in buf.drain(..) {
+                let want = scalar.next_arrival();
+                assert_eq!(got, want, "{process:?}: lockstep diverged at draw {drawn}");
+                drawn += 1;
+            }
+        }
+        assert_eq!(drawn, DRAWS);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Completion coalescing: popping a whole same-cycle burst from the
 // per-shard lanes must deliver payloads in exactly the order the old
@@ -255,6 +298,48 @@ fn coalesced_burst_pops_match_the_unified_queue_golden_order() {
     assert_eq!(merged.len(), golden.len());
     assert_eq!(merged, golden, "burst-coalesced drain drifted from the unified-queue order");
     assert!(lane_fifo.iter().all(|f| f.is_empty()));
+}
+
+/// Randomized differential for the online loop's arrival queue: the
+/// per-source [`ArrivalHeads`] min-scan must pop in exactly the order an
+/// [`EventQueue`] holding the same arrivals does.  Timestamps come from
+/// a narrow range, so most pops break ties on push order across sources.
+#[test]
+fn arrival_heads_pop_in_event_queue_order() {
+    use bsc_accel::des::ArrivalHeads;
+    use bsc_netlist::rng::Rng64;
+
+    for seed in [1u64, 7, 0x5EED_CAFE] {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let n_sources = rng.gen_range(1..9) as usize;
+        let mut heads = ArrivalHeads::new(n_sources);
+        let mut reference: EventQueue<usize> = EventQueue::new();
+        let mut pending = vec![false; n_sources];
+        let (mut from_heads, mut from_reference) = (Vec::new(), Vec::new());
+        for _ in 0..20_000 {
+            let idle: Vec<usize> = (0..n_sources).filter(|&s| !pending[s]).collect();
+            if !idle.is_empty() && (heads.is_empty() || rng.gen_range(0..3) > 0) {
+                let source = idle[rng.gen_range(0..idle.len() as i64) as usize];
+                let time = rng.gen_range(0..4) as u64;
+                heads.push(source, time);
+                reference.push(time, PRIORITY_ARRIVAL, source);
+                pending[source] = true;
+            } else {
+                assert_eq!(heads.peek_time(), reference.peek_time());
+                let popped = heads.pop().expect("a source is pending");
+                pending[popped.1] = false;
+                from_heads.push(popped);
+                from_reference.push(reference.pop().expect("queues hold the same arrivals"));
+            }
+        }
+        while let Some(popped) = heads.pop() {
+            from_heads.push(popped);
+            from_reference.push(reference.pop().expect("queues hold the same arrivals"));
+        }
+        assert!(reference.is_empty());
+        assert_eq!(from_heads, from_reference, "seed {seed}: head min-scan left the queue order");
+        assert_eq!((heads.pushes(), heads.pops()), (reference.pushes(), reference.pops()));
+    }
 }
 
 // ---------------------------------------------------------------------
