@@ -100,7 +100,8 @@
 //!   `--ignore PAT` adds more exempt patterns; `--verbose` also prints
 //!   bit-identical fields.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use bsc_bench::diff::{diff_documents, render_diff, DiffOptions};
 use bsc_bench::{
@@ -109,20 +110,26 @@ use bsc_bench::{
 };
 use bsc_mac::MacKind;
 
+/// The flags that take a file (or, for `--csv`, directory) argument.
+const PATH_FLAGS: &[&str] = &[
+    "--csv",
+    "--metrics-out",
+    "--trace-out",
+    "--bench-out",
+    "--report-out",
+    "--profile-out",
+    "--folded-out",
+    "--slo-out",
+    "--dash-out",
+    "--events-out",
+    "--perfetto-out",
+    "--svg-out",
+];
+
 struct Options {
     quick: bool,
-    csv_dir: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    bench_out: Option<PathBuf>,
-    report_out: Option<PathBuf>,
-    profile_out: Option<PathBuf>,
-    folded_out: Option<PathBuf>,
-    slo_out: Option<PathBuf>,
-    dash_out: Option<PathBuf>,
-    events_out: Option<PathBuf>,
-    perfetto_out: Option<PathBuf>,
-    svg_out: Option<PathBuf>,
+    /// The given [`PATH_FLAGS`] and their paths.
+    paths: BTreeMap<String, PathBuf>,
     trace_cap: usize,
     no_timers: bool,
     workers: Option<usize>,
@@ -134,20 +141,16 @@ struct Options {
     files: Vec<PathBuf>,
 }
 
+impl Options {
+    /// The path given to `flag`, if any.
+    fn path(&self, flag: &str) -> Option<&Path> {
+        self.paths.get(flag).map(PathBuf::as_path)
+    }
+}
+
 fn parse_args() -> Options {
     let mut quick = false;
-    let mut csv_dir = None;
-    let mut metrics_out = None;
-    let mut trace_out = None;
-    let mut bench_out = None;
-    let mut report_out = None;
-    let mut profile_out = None;
-    let mut folded_out = None;
-    let mut slo_out = None;
-    let mut dash_out = None;
-    let mut events_out = None;
-    let mut perfetto_out = None;
-    let mut svg_out = None;
+    let mut paths = BTreeMap::new();
     let mut trace_cap = observatory::DEFAULT_TRACE_CAPACITY;
     let mut no_timers = false;
     let mut workers = None;
@@ -162,56 +165,25 @@ fn parse_args() -> Options {
         if arg.starts_with("--") {
             seen_flags.push(arg.clone());
         }
-        let path_arg = |flag: &str, args: &mut dyn Iterator<Item = String>| {
-            PathBuf::from(
-                args.next()
-                    .unwrap_or_else(|| die_usage(&format!("{flag} requires a file argument"))),
-            )
-        };
         match arg.as_str() {
             "--quick" => quick = true,
             "--no-timers" => no_timers = true,
             "--verbose" => verbose = true,
-            "--csv" => csv_dir = Some(path_arg("--csv", &mut args)),
-            "--metrics-out" => metrics_out = Some(path_arg("--metrics-out", &mut args)),
-            "--trace-out" => trace_out = Some(path_arg("--trace-out", &mut args)),
-            "--bench-out" => bench_out = Some(path_arg("--bench-out", &mut args)),
-            "--report-out" => report_out = Some(path_arg("--report-out", &mut args)),
-            "--profile-out" => profile_out = Some(path_arg("--profile-out", &mut args)),
-            "--folded-out" => folded_out = Some(path_arg("--folded-out", &mut args)),
-            "--slo-out" => slo_out = Some(path_arg("--slo-out", &mut args)),
-            "--dash-out" => dash_out = Some(path_arg("--dash-out", &mut args)),
-            "--events-out" => events_out = Some(path_arg("--events-out", &mut args)),
-            "--perfetto-out" => perfetto_out = Some(path_arg("--perfetto-out", &mut args)),
-            "--svg-out" => svg_out = Some(path_arg("--svg-out", &mut args)),
-            "--trace-cap" => {
-                let n = args
+            flag if PATH_FLAGS.contains(&flag) => {
+                let path = args
                     .next()
-                    .unwrap_or_else(|| die_usage("--trace-cap requires a number argument"));
-                trace_cap = n
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--trace-cap: `{n}` is not a number")));
+                    .unwrap_or_else(|| die_usage(&format!("{flag} requires a file argument")));
+                paths.insert(arg, PathBuf::from(path));
             }
+            "--trace-cap" => trace_cap = number_arg("--trace-cap", &mut args),
             "--workers" => {
-                let n = args
-                    .next()
-                    .unwrap_or_else(|| die_usage("--workers requires a number argument"));
-                let parsed: usize = n
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--workers: `{n}` is not a number")));
-                if parsed == 0 {
+                let n = number_arg("--workers", &mut args);
+                if n == 0 {
                     die("--workers: must be positive");
                 }
-                workers = Some(parsed);
+                workers = Some(n);
             }
-            "--tol" => {
-                let n = args
-                    .next()
-                    .unwrap_or_else(|| die_usage("--tol requires a percentage argument"));
-                tol = n
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--tol: `{n}` is not a number")));
-            }
+            "--tol" => tol = number_arg("--tol", &mut args),
             "--ignore" => {
                 ignore.push(
                     args.next()
@@ -232,11 +204,12 @@ fn parse_args() -> Options {
     // telemetry probe"; a bench output alone means "run simbench"; trace
     // outputs alone mean "run the observatory" — all are self-contained
     // and skip characterization.
-    let default = if metrics_out.is_some() || trace_out.is_some() {
+    let given = |flags: &[&str]| flags.iter().any(|f| paths.contains_key(*f));
+    let default = if given(&["--metrics-out", "--trace-out"]) {
         "telemetry"
-    } else if bench_out.is_some() {
+    } else if given(&["--bench-out"]) {
         "simbench"
-    } else if perfetto_out.is_some() || svg_out.is_some() {
+    } else if given(&["--perfetto-out", "--svg-out"]) {
         "trace"
     } else {
         "all"
@@ -254,18 +227,7 @@ fn parse_args() -> Options {
     }
     Options {
         quick,
-        csv_dir,
-        metrics_out,
-        trace_out,
-        bench_out,
-        report_out,
-        profile_out,
-        folded_out,
-        slo_out,
-        dash_out,
-        events_out,
-        perfetto_out,
-        svg_out,
+        paths,
         trace_cap,
         no_timers,
         workers,
@@ -275,6 +237,13 @@ fn parse_args() -> Options {
         which,
         files,
     }
+}
+
+/// The numeric value of `flag`: missing is a usage error, malformed a
+/// failure.
+fn number_arg<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let n = args.next().unwrap_or_else(|| die_usage(&format!("{flag} requires a number argument")));
+    n.parse().unwrap_or_else(|_| die(&format!("{flag}: `{n}` is not a number")))
 }
 
 /// The exact flag set each strict subcommand accepts; `None` leaves the
@@ -301,7 +270,7 @@ fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
 
 fn main() {
     let opts = parse_args();
-    if let Some(dir) = &opts.csv_dir {
+    if let Some(dir) = opts.path("--csv") {
         if let Err(e) = std::fs::create_dir_all(dir) {
             die(&format!("cannot create {}: {e}", dir.display()));
         }
@@ -341,13 +310,7 @@ fn main() {
     let wb = wb.as_ref();
 
     let write_csv = |name: &str, data: String| {
-        if let Some(dir) = &opts.csv_dir {
-            let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, data) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--csv").map(|d| d.join(name)).as_deref(), || data);
     };
 
     let run_table1 = || {
@@ -389,20 +352,10 @@ fn main() {
         let report = telemetry_probe::telemetry_report(MacKind::Bsc)
             .unwrap_or_else(|e| die(&format!("telemetry probe failed: {e}")));
         print!("{}", telemetry_probe::render_telemetry(&report));
-        if let Some(path) = &opts.metrics_out {
-            let json = telemetry_probe::telemetry_json(&report, opts.no_timers);
-            if let Err(e) = std::fs::write(path, json) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
-        if let Some(path) = &opts.trace_out {
-            let json = telemetry_probe::telemetry_trace_json(&report);
-            if let Err(e) = std::fs::write(path, json) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--metrics-out"), || {
+            telemetry_probe::telemetry_json(&report, opts.no_timers)
+        });
+        write_out(opts.path("--trace-out"), || telemetry_probe::telemetry_trace_json(&report));
     };
 
     let run_simbench = || {
@@ -428,13 +381,7 @@ fn main() {
                 None
             }
         };
-        if let Some(path) = &opts.bench_out {
-            let json = simbench::to_json(&reports, wb_ns);
-            if let Err(e) = std::fs::write(path, json) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--bench-out"), || simbench::to_json(&reports, wb_ns));
     };
 
     let run_mem = || {
@@ -442,12 +389,7 @@ fn main() {
         let points = memexp::sweep().unwrap_or_else(|e| die(&format!("mem sweep failed: {e}")));
         print!("{}", memexp::render(&points));
         write_csv("mem_sweep.csv", memexp::to_csv(&points));
-        if let Some(path) = &opts.bench_out {
-            if let Err(e) = std::fs::write(path, memexp::to_json(&points)) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--bench-out"), || memexp::to_json(&points));
     };
 
     let run_trace = || {
@@ -455,106 +397,62 @@ fn main() {
         let run = observatory::observe(MacKind::Bsc, opts.trace_cap)
             .unwrap_or_else(|e| die(&format!("trace observatory failed: {e}")));
         print!("{}", observatory::render_observatory(&run));
-        if let Some(path) = &opts.perfetto_out {
-            let json = observatory::run_perfetto_json(&run);
-            if let Err(e) = std::fs::write(path, json) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {} (open at https://ui.perfetto.dev)", path.display());
-        }
-        if let Some(path) = &opts.svg_out {
-            let svg = observatory::run_svg(&run);
-            if let Err(e) = std::fs::write(path, svg) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--perfetto-out"), || observatory::run_perfetto_json(&run));
+        write_out(opts.path("--svg-out"), || observatory::run_svg(&run));
     };
 
     let run_serve = || {
-        let [manifest] = opts.files.as_slice() else {
-            die("serve requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("serve", &opts.files);
         let run = serve::serve(&text).unwrap_or_else(|e| die(&e));
         print!("{}", serve::render(&run));
-        let write_out = |path: &Option<PathBuf>, data: String| {
-            if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, data) {
-                    die(&format!("cannot write {}: {e}", path.display()));
-                }
-                eprintln!("wrote {}", path.display());
-            }
-        };
-        write_out(&opts.report_out, serve::report_json(&run));
-        write_out(&opts.slo_out, serve::slo_json(&run));
-        write_out(&opts.dash_out, bsc_bench::dashboard::dashboard_html(&run));
-        write_out(&opts.events_out, serve::events_jsonl(&run));
-    };
-
-    let write_out = |path: &Option<PathBuf>, data: String| {
-        if let Some(path) = path {
-            if let Err(e) = std::fs::write(path, data) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            eprintln!("wrote {}", path.display());
-        }
+        write_out(opts.path("--report-out"), || serve::report_json(&run));
+        write_out(opts.path("--slo-out"), || serve::slo_json(&run));
+        write_out(opts.path("--dash-out"), || bsc_bench::dashboard::dashboard_html(&run));
+        write_out(opts.path("--events-out"), || serve::events_jsonl(&run));
     };
 
     let run_online = || {
-        let [manifest] = opts.files.as_slice() else {
-            die_usage("online requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("online", &opts.files);
         // A profile output upgrades the run to the self-profiled path;
         // the online report itself is identical either way.
-        let profiling = opts.profile_out.is_some() || opts.folded_out.is_some();
+        let profiling =
+            opts.path("--profile-out").is_some() || opts.path("--folded-out").is_some();
         let run = if profiling {
             let p = profile::profile(&text, opts.workers).unwrap_or_else(|e| die(&e));
             print!("{}", online::render(&p.run));
             print!("{}", profile::render(&p));
-            write_out(&opts.profile_out, profile::profile_document(&p));
-            write_out(&opts.folded_out, profile::folded(&p));
+            write_out(opts.path("--profile-out"), || profile::profile_document(&p));
+            write_out(opts.path("--folded-out"), || profile::folded(&p));
             p.run
         } else {
             let run = online::online(&text, opts.workers).unwrap_or_else(|e| die(&e));
             print!("{}", online::render(&run));
             run
         };
-        write_out(&opts.report_out, online::report_json(&run));
-        write_out(&opts.slo_out, online::slo_json(&run));
-        write_out(&opts.dash_out, bsc_bench::dashboard::online_dashboard_html(&run));
-        write_out(&opts.events_out, online::events_jsonl(&run));
-        write_out(&opts.perfetto_out, online::perfetto_json(&run));
+        write_out(opts.path("--report-out"), || online::report_json(&run));
+        write_out(opts.path("--slo-out"), || online::slo_json(&run));
+        write_out(opts.path("--dash-out"), || bsc_bench::dashboard::online_dashboard_html(&run));
+        write_out(opts.path("--events-out"), || online::events_jsonl(&run));
+        write_out(opts.path("--perfetto-out"), || online::perfetto_json(&run));
     };
 
     let run_dse = || {
-        let [manifest] = opts.files.as_slice() else {
-            die_usage("dse requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("dse", &opts.files);
         eprintln!("sweeping dataflow x geometry x memory x precision x kind...");
         let run = dse::dse(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", dse::render(&run));
         write_csv("dse_sweep.csv", dse::to_csv(&run));
-        write_out(&opts.bench_out, dse::to_json(&run));
-        write_out(&opts.svg_out, bsc_bench::dashboard::dse_pareto_svg(&run));
+        write_out(opts.path("--bench-out"), || dse::to_json(&run));
+        write_out(opts.path("--svg-out"), || bsc_bench::dashboard::dse_pareto_svg(&run));
     };
 
     let run_profile = || {
-        let [manifest] = opts.files.as_slice() else {
-            die_usage("profile requires exactly one file argument: <manifest.json>");
-        };
-        let text = std::fs::read_to_string(manifest)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())));
+        let text = read_manifest("profile", &opts.files);
         eprintln!("profiling the online simulator (deterministic counters + wall clock)...");
         let p = profile::profile(&text, opts.workers).unwrap_or_else(|e| die(&e));
         print!("{}", profile::render(&p));
-        write_out(&opts.profile_out, profile::profile_document(&p));
-        write_out(&opts.folded_out, profile::folded(&p));
+        write_out(opts.path("--profile-out"), || profile::profile_document(&p));
+        write_out(opts.path("--folded-out"), || profile::folded(&p));
     };
 
     let run_diff = || {
@@ -631,6 +529,27 @@ fn main() {
 fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Writes one requested output file (or dies), saying so on stderr;
+/// renders nothing when the output was not requested.
+fn write_out(path: Option<&Path>, data: impl FnOnce() -> String) {
+    if let Some(path) = path {
+        if let Err(e) = std::fs::write(path, data()) {
+            die(&format!("cannot write {}: {e}", path.display()));
+        }
+        eprintln!("wrote {}", path.display());
+    }
+}
+
+/// Reads the single `<manifest.json>` argument of `which`; any other
+/// number of file arguments is a usage error.
+fn read_manifest(which: &str, files: &[PathBuf]) -> String {
+    let [manifest] = files else {
+        die_usage(&format!("{which} requires exactly one file argument: <manifest.json>"));
+    };
+    std::fs::read_to_string(manifest)
+        .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", manifest.display())))
 }
 
 const USAGE: &str = "\

@@ -16,18 +16,19 @@
 //! front; `scripts/ci.sh` regenerates `BENCH_dse_baseline.json` from
 //! `examples/dse_manifest.json` and diffs it at `--tol 0`.
 
-use std::sync::Arc;
-
+use bsc_accel::CharacterizationCache;
 use bsc_mac::ppa::{CharacterizeConfig, DesignCharacterization};
 use bsc_mac::{MacKind, Precision};
 use bsc_netlist::par;
 use bsc_systolic::energy::{ArrayEnergyModel, SramModel};
 use bsc_systolic::mapping::ConvShape;
 use bsc_systolic::{
-    schedule_conv_with_memory_dataflow, ArrayConfig, ArrayGeometry, DataflowKind, DramBandwidth,
-    MemConfig,
+    schedule_conv_with_memory_dataflow, ArrayConfig, ArrayGeometry, DataflowKind, MemConfig,
 };
-use bsc_telemetry::{JsonBuilder, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
+use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, ProfileSnapshot, Profiler, Registry};
+
+use crate::export::finish_doc;
+use crate::manifest::{self, array_field, err_at, str_item, str_or, u64_field};
 
 /// Geometry bounds the manifest accepts: characterization cost grows
 /// with the vector length (gate count) and the schedule loops with the
@@ -137,27 +138,6 @@ impl DseRun {
     }
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-fn u64_field(
-    obj: &bsc_telemetry::JsonValue,
-    ctx: &str,
-    key: &str,
-) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(ctx, format!("{key}: expected a non-negative integer")))?;
-            Ok(Some(n as u64))
-        }
-    }
-}
-
 /// The named workload: a small fixed layer set every point shares.
 ///
 /// * `"edge3"` — the `repro mem` Table-I-style set (early wide-spatial,
@@ -178,27 +158,12 @@ pub fn workload_layers(name: &str) -> Result<Vec<(&'static str, ConvShape)>, Str
     }
 }
 
-fn parse_mem(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<MemSpec, String> {
-    let ctx = format!("mem[{i}]");
-    let preset = spec.get("preset").and_then(|v| v.as_str()).unwrap_or("edge");
-    let mut mem = match preset {
-        "infinite" => MemConfig::infinite(),
-        "edge" => MemConfig::edge(),
-        other => {
-            return Err(err_at(&ctx, format!("preset: unknown preset `{other}` (infinite|edge)")))
-        }
-    };
-    if let Some(bw) = u64_field(spec, &ctx, "bandwidth_bytes_per_cycle")? {
-        if bw == 0 {
-            return Err(err_at(&ctx, "bandwidth_bytes_per_cycle: must be positive"));
-        }
-        mem = mem.with_bandwidth(DramBandwidth::BytesPerCycle(bw));
-    }
+fn parse_mem(i: usize, spec: &JsonValue, ctx: &str) -> Result<MemSpec, String> {
+    let mem = manifest::mem_field(spec, ctx, "preset", "edge")?;
     let name = spec
         .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("{preset}{i}"));
+        .and_then(JsonValue::as_str)
+        .map_or_else(|| format!("{}{i}", str_or(spec, "preset", "edge")), str::to_owned);
     Ok(MemSpec { name, mem })
 }
 
@@ -209,17 +174,9 @@ fn parse_mem(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<MemSpec, Strin
 /// Returns a human-readable message on malformed JSON, unknown tags, or
 /// out-of-range parameters.
 pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
-    let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
-    let name = doc
-        .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| "dse".to_owned());
-    let workload = doc
-        .get("workload")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| "edge3".to_owned());
+    let doc = manifest::parse(text)?;
+    let name = str_or(&doc, "name", "dse").to_owned();
+    let workload = str_or(&doc, "workload", "edge3").to_owned();
     workload_layers(&workload)?;
     let period_ps = u64_field(&doc, "manifest", "period_ps")?
         .filter(|p| *p >= 1)
@@ -228,102 +185,46 @@ pub fn parse_dse_manifest(text: &str) -> Result<DseManifest, String> {
         .filter(|s| *s >= 1)
         .unwrap_or(48) as usize;
 
-    let dataflows = match doc.get("dataflows").and_then(|v| v.as_array()) {
-        None => DataflowKind::ALL.to_vec(),
-        Some([]) => return Err("dataflows: expected a non-empty array".into()),
-        Some(a) => a
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let ctx = format!("dataflows[{i}]");
-                let tag = v.as_str().ok_or_else(|| err_at(&ctx, "expected a string"))?;
-                DataflowKind::parse(tag).ok_or_else(|| {
-                    err_at(
-                        &ctx,
-                        format!(
-                            "unknown dataflow `{tag}` (weight-stationary|output-stationary|input-stationary)"
-                        ),
-                    )
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    let geometries = match doc.get("geometries").and_then(|v| v.as_array()) {
-        None => vec![ArrayGeometry::paper()],
-        Some([]) => return Err("geometries: expected a non-empty array".into()),
-        Some(a) => a
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let ctx = format!("geometries[{i}]");
-                let rows = u64_field(g, &ctx, "rows")?
-                    .filter(|r| (1..=MAX_ROWS).contains(r))
-                    .ok_or_else(|| err_at(&ctx, format!("rows: expected 1..={MAX_ROWS}")))?;
-                let vl = u64_field(g, &ctx, "vector_length")?
-                    .filter(|v| (2..=MAX_VECTOR_LENGTH).contains(v))
-                    .ok_or_else(|| {
-                        err_at(&ctx, format!("vector_length: expected 2..={MAX_VECTOR_LENGTH}"))
-                    })?;
-                Ok(ArrayGeometry::new(rows as usize, vl as usize))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-
-    let mems = match doc.get("mem").and_then(|v| v.as_array()) {
-        None => vec![MemSpec { name: "edge".into(), mem: MemConfig::edge() }],
-        Some([]) => return Err("mem: expected a non-empty array".into()),
-        Some(a) => a
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| parse_mem(spec, i))
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    let kinds = match doc.get("kinds").and_then(|v| v.as_array()) {
-        None => MacKind::ALL.to_vec(),
-        Some([]) => return Err("kinds: expected a non-empty array".into()),
-        Some(a) => a
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let ctx = format!("kinds[{i}]");
-                match v.as_str().map(str::to_ascii_lowercase).as_deref() {
-                    Some("bsc") => Ok(MacKind::Bsc),
-                    Some("lpc") => Ok(MacKind::Lpc),
-                    Some("hps") => Ok(MacKind::Hps),
-                    Some(other) => {
-                        Err(err_at(&ctx, format!("unknown architecture `{other}` (bsc|lpc|hps)")))
-                    }
-                    None => Err(err_at(&ctx, "expected a string")),
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    let precisions = match doc.get("precisions").and_then(|v| v.as_array()) {
-        None => Precision::ALL.to_vec(),
-        Some([]) => return Err("precisions: expected a non-empty array".into()),
-        Some(a) => a
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let ctx = format!("precisions[{i}]");
-                let s = v.as_str().ok_or_else(|| err_at(&ctx, "expected a string"))?;
-                s.parse::<Precision>().map_err(|e| err_at(&ctx, e))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-
-    let workers = u64_field(&doc, "manifest", "workers")?
-        .map(|w| {
-            if w == 0 {
-                Err("manifest: workers: must be positive".to_string())
-            } else {
-                Ok(w as usize)
-            }
+    let dataflows = array_field(&doc, "", "dataflows", |_, v, ctx| {
+        let tag = str_item(v, ctx)?;
+        DataflowKind::parse(tag).ok_or_else(|| {
+            err_at(
+                ctx,
+                format!(
+                    "unknown dataflow `{tag}` (weight-stationary|output-stationary|input-stationary)"
+                ),
+            )
         })
-        .transpose()?;
+    })?
+    .unwrap_or_else(|| DataflowKind::ALL.to_vec());
+
+    let geometries = array_field(&doc, "", "geometries", |_, g, ctx| {
+        let rows = u64_field(g, ctx, "rows")?
+            .filter(|r| (1..=MAX_ROWS).contains(r))
+            .ok_or_else(|| err_at(ctx, format!("rows: expected 1..={MAX_ROWS}")))?;
+        let vl = u64_field(g, ctx, "vector_length")?
+            .filter(|v| (2..=MAX_VECTOR_LENGTH).contains(v))
+            .ok_or_else(|| {
+                err_at(ctx, format!("vector_length: expected 2..={MAX_VECTOR_LENGTH}"))
+            })?;
+        Ok(ArrayGeometry::new(rows as usize, vl as usize))
+    })?
+    .unwrap_or_else(|| vec![ArrayGeometry::paper()]);
+
+    let mems = array_field(&doc, "", "mem", parse_mem)?
+        .unwrap_or_else(|| vec![MemSpec { name: "edge".into(), mem: MemConfig::edge() }]);
+
+    let kinds = array_field(&doc, "", "kinds", |_, v, ctx| {
+        manifest::mac_kind(str_item(v, ctx)?).map_err(|e| err_at(ctx, e))
+    })?
+    .unwrap_or_else(|| MacKind::ALL.to_vec());
+
+    let precisions = array_field(&doc, "", "precisions", |_, v, ctx| {
+        str_item(v, ctx)?.parse::<Precision>().map_err(|e| err_at(ctx, e))
+    })?
+    .unwrap_or_else(|| Precision::ALL.to_vec());
+
+    let workers = manifest::workers_field(&doc, "manifest")?;
 
     Ok(DseManifest {
         name,
@@ -424,7 +325,12 @@ pub fn dse(text: &str, workers: Option<usize>) -> Result<DseRun, String> {
     // --- enumerate: the cross product plus one gate-level
     // characterization per distinct (kind, vector length) design.
     let enumerate = prof.phase("enumerate");
-    let (specs, characs) = {
+    let designs = CharacterizationCache::new();
+    let design = |kind: MacKind, length: usize| {
+        let cfg = CharacterizeConfig { length, steps: m.steps, ..CharacterizeConfig::default() };
+        designs.get_or_characterize(kind, &cfg)
+    };
+    let specs = {
         let _g = enumerate.enter();
         let mut specs = Vec::new();
         for &dataflow in &m.dataflows {
@@ -438,26 +344,16 @@ pub fn dse(text: &str, workers: Option<usize>) -> Result<DseRun, String> {
                 }
             }
         }
-        let mut characs: Vec<((MacKind, usize), Arc<DesignCharacterization>)> = Vec::new();
         for &kind in &m.kinds {
             for &g in &m.geometries {
-                if characs.iter().any(|(k, _)| *k == (kind, g.vector_length)) {
-                    continue;
-                }
-                let cfg = CharacterizeConfig {
-                    length: g.vector_length,
-                    steps: m.steps,
-                    ..CharacterizeConfig::default()
-                };
-                let c = DesignCharacterization::new(kind, &cfg)
+                design(kind, g.vector_length)
                     .map_err(|e| format!("characterizing {kind} L{}: {e}", g.vector_length))?;
-                characs.push(((kind, g.vector_length), Arc::new(c)));
             }
         }
-        (specs, characs)
+        specs
     };
     enumerate.add("points", specs.len() as u64);
-    enumerate.add("designs_characterized", characs.len() as u64);
+    enumerate.add("designs_characterized", designs.len() as u64);
 
     // --- evaluate: every point over the work-stealing pool, merged in
     // enumeration-index order.
@@ -466,12 +362,9 @@ pub fn dse(text: &str, workers: Option<usize>) -> Result<DseRun, String> {
         let _g = evaluate.enter();
         par::run_indexed(specs.len(), workers.or(m.workers), |i| {
             let spec = specs[i];
-            let charac = &characs
-                .iter()
-                .find(|(k, _)| *k == (spec.kind, spec.geometry.vector_length))
-                .expect("every swept design characterized")
-                .1;
-            evaluate_point(&m, &layers, charac, spec)
+            let charac = design(spec.kind, spec.geometry.vector_length)
+                .expect("every swept design characterized");
+            evaluate_point(&m, &layers, &charac, spec)
         })
     };
     let mut points = results.into_iter().collect::<Result<Vec<_>, String>>()?;
@@ -688,9 +581,7 @@ pub fn to_json(run: &DseRun) -> String {
     }
     j.end_object();
     j.end_object();
-    let mut s = j.finish();
-    s.push('\n');
-    s
+    finish_doc(j)
 }
 
 #[cfg(test)]
@@ -731,21 +622,23 @@ mod tests {
 
     #[test]
     fn manifest_rejects_bad_axes() {
-        for bad in [
-            r#"{"dataflows": ["north-stationary"]}"#,
-            r#"{"dataflows": []}"#,
-            r#"{"geometries": [{"rows": 0, "vector_length": 4}]}"#,
-            r#"{"geometries": [{"rows": 4, "vector_length": 1}]}"#,
-            r#"{"geometries": [{"rows": 4, "vector_length": 1024}]}"#,
-            r#"{"mem": [{"preset": "hbm"}]}"#,
-            r#"{"mem": [{"preset": "edge", "bandwidth_bytes_per_cycle": 0}]}"#,
-            r#"{"kinds": ["tpu"]}"#,
-            r#"{"precisions": ["int13"]}"#,
-            r#"{"workload": "mnist"}"#,
-            r#"{"workers": 0}"#,
-            r#"not json"#,
+        // Errors start with the path of the field at fault.
+        for (bad, path) in [
+            (r#"{"dataflows": ["north-stationary"]}"#, "dataflows[0]: "),
+            (r#"{"dataflows": []}"#, "dataflows: "),
+            (r#"{"geometries": [{"rows": 0, "vector_length": 4}]}"#, "geometries[0]: rows"),
+            (r#"{"geometries": [{"rows": 4, "vector_length": 1}]}"#, "geometries[0]: vector"),
+            (r#"{"geometries": [{"rows": 4, "vector_length": 1024}]}"#, "geometries[0]: vector"),
+            (r#"{"mem": [{"preset": "hbm"}]}"#, "mem[0]: preset"),
+            (r#"{"mem": [{"preset": "edge", "bandwidth_bytes_per_cycle": 0}]}"#, "mem[0]: bandwidth"),
+            (r#"{"kinds": ["tpu"]}"#, "kinds[0]: "),
+            (r#"{"precisions": ["int13"]}"#, "precisions[0]: "),
+            (r#"{"workload": "mnist"}"#, "workload: "),
+            (r#"{"workers": 0}"#, "manifest: workers"),
+            (r#"not json"#, "manifest: "),
         ] {
-            assert!(parse_dse_manifest(bad).is_err(), "{bad}");
+            let err = parse_dse_manifest(bad).unwrap_err();
+            assert!(err.starts_with(path), "{bad}: {err}");
         }
     }
 

@@ -13,6 +13,8 @@ pub mod dashboard;
 pub mod diff;
 pub mod dse;
 pub mod experiments;
+mod export;
+mod manifest;
 pub mod memexp;
 pub mod observatory;
 pub mod online;

@@ -40,18 +40,20 @@
 //! any worker count, so `BENCH_online_baseline.json` is gated at
 //! `--tol 0`.
 
+use std::collections::BTreeMap;
+
 use bsc_accel::cluster::{
     run_online_with_metrics, DispatchPolicy, JobTemplate, MetricsMode, OnlineConfig, OnlineReport,
     ShardSpec, TrafficSource, EVENT_LOG_CAP,
 };
 use bsc_accel::des::{ArrivalProcess, DiurnalSegment};
-use bsc_accel::systolic::mem::{DramBandwidth, MemConfig};
-use bsc_accel::{AcceleratorConfig, PrecisionPolicy, TenantId};
-use bsc_mac::MacKind;
+use bsc_accel::TenantId;
+use bsc_telemetry::perfetto::meta;
 use bsc_telemetry::profile::Profiler;
-use bsc_telemetry::{JsonBuilder, MetricsSnapshot, Telemetry};
+use bsc_telemetry::{JsonBuilder, JsonValue, MetricsSnapshot, Telemetry};
 
-use crate::serve::{lookup_network, parse_tenants, write_slo_tenants};
+use crate::export::{finish_doc, jsonl, render_outcomes, slo_document, write_queue_wait};
+use crate::manifest::{self, array_field, err_at, required_positive, u64_field};
 
 /// The result of one online run: the deterministic report plus the
 /// metrics snapshot.
@@ -65,110 +67,36 @@ pub struct OnlineRun {
     pub metrics: MetricsSnapshot,
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-fn u64_field(
-    obj: &bsc_telemetry::JsonValue,
-    ctx: &str,
-    key: &str,
-) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(ctx, format!("{key}: expected a non-negative integer")))?;
-            Ok(Some(n as u64))
-        }
-    }
-}
-
-fn parse_shard(spec: &bsc_telemetry::JsonValue, i: usize) -> Result<ShardSpec, String> {
-    let ctx = format!("cluster.shards[{i}]");
+fn parse_shard(i: usize, spec: &JsonValue, ctx: &str) -> Result<ShardSpec, String> {
     let name = spec
         .get("name")
-        .and_then(|v| v.as_str())
-        .map(str::to_owned)
-        .unwrap_or_else(|| format!("shard{i}"));
-    let kind = match spec
-        .get("kind")
-        .and_then(|v| v.as_str())
-        .unwrap_or("bsc")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "bsc" => MacKind::Bsc,
-        "lpc" => MacKind::Lpc,
-        "hps" => MacKind::Hps,
-        other => return Err(err_at(&ctx, format!("unknown architecture `{other}`"))),
-    };
-    let quick = matches!(spec.get("quick"), Some(bsc_telemetry::JsonValue::Bool(true)));
-    let mut accel =
-        if quick { AcceleratorConfig::quick(kind) } else { AcceleratorConfig::paper(kind) };
-    let mut mem = match spec.get("mem").and_then(|v| v.as_str()) {
-        None | Some("infinite") => MemConfig::infinite(),
-        Some("edge") => MemConfig::edge(),
-        Some(other) => {
-            return Err(err_at(&ctx, format!("mem: unknown preset `{other}` (infinite|edge)")))
-        }
-    };
-    if let Some(bw) = u64_field(spec, &ctx, "bandwidth_bytes_per_cycle")? {
-        if bw == 0 {
-            return Err(err_at(&ctx, "bandwidth_bytes_per_cycle: must be positive"));
-        }
-        mem = mem.with_bandwidth(DramBandwidth::BytesPerCycle(bw));
-    }
-    accel = accel.with_mem(mem);
-    Ok(ShardSpec { name, accel })
+        .and_then(JsonValue::as_str)
+        .map_or_else(|| format!("shard{i}"), str::to_owned);
+    let mem = manifest::mem_field(spec, ctx, "mem", "infinite")?;
+    Ok(ShardSpec { name, accel: manifest::accelerator(spec, ctx)?.with_mem(mem) })
 }
 
-fn parse_arrivals(
-    spec: &bsc_telemetry::JsonValue,
-    ctx: &str,
-) -> Result<ArrivalProcess, String> {
+fn parse_arrivals(spec: &JsonValue, ctx: &str) -> Result<ArrivalProcess, String> {
     let arrivals = spec.get("arrivals").ok_or_else(|| err_at(ctx, "missing `arrivals`"))?;
-    let mean = |obj: &bsc_telemetry::JsonValue, c: &str| -> Result<u64, String> {
-        u64_field(obj, c, "mean_interarrival_cycles")?
-            .filter(|m| *m >= 1)
-            .ok_or_else(|| err_at(c, "mean_interarrival_cycles: expected a positive integer"))
-    };
-    match arrivals.get("process").and_then(|v| v.as_str()).unwrap_or("poisson") {
+    let mean = |obj: &JsonValue, c: &str| required_positive(obj, c, "mean_interarrival_cycles");
+    match manifest::str_or(arrivals, "process", "poisson") {
         "poisson" => Ok(ArrivalProcess::Poisson {
             mean_interarrival_cycles: mean(arrivals, ctx)?,
         }),
-        "bursty" => {
-            let on = u64_field(arrivals, ctx, "on_cycles")?
-                .filter(|v| *v >= 1)
-                .ok_or_else(|| err_at(ctx, "on_cycles: expected a positive integer"))?;
-            let off = u64_field(arrivals, ctx, "off_cycles")?
-                .ok_or_else(|| err_at(ctx, "off_cycles: expected a non-negative integer"))?;
-            Ok(ArrivalProcess::Bursty {
-                on_cycles: on,
-                off_cycles: off,
-                mean_interarrival_cycles: mean(arrivals, ctx)?,
-            })
-        }
+        "bursty" => Ok(ArrivalProcess::Bursty {
+            on_cycles: required_positive(arrivals, ctx, "on_cycles")?,
+            off_cycles: u64_field(arrivals, ctx, "off_cycles")?
+                .ok_or_else(|| err_at(ctx, "off_cycles: expected a non-negative integer"))?,
+            mean_interarrival_cycles: mean(arrivals, ctx)?,
+        }),
         "diurnal" => {
-            let segs = arrivals
-                .get("segments")
-                .and_then(|v| v.as_array())
-                .filter(|a| !a.is_empty())
-                .ok_or_else(|| err_at(ctx, "segments: expected a non-empty array"))?;
-            let mut segments = Vec::with_capacity(segs.len());
-            for (k, seg) in segs.iter().enumerate() {
-                let sctx = format!("{ctx}.segments[{k}]");
-                segments.push(DiurnalSegment {
-                    duration_cycles: u64_field(seg, &sctx, "duration_cycles")?
-                        .filter(|v| *v >= 1)
-                        .ok_or_else(|| {
-                            err_at(&sctx, "duration_cycles: expected a positive integer")
-                        })?,
-                    mean_interarrival_cycles: mean(seg, &sctx)?,
-                });
-            }
+            let segments = array_field(arrivals, ctx, "segments", |_, seg, sctx| {
+                Ok(DiurnalSegment {
+                    duration_cycles: required_positive(seg, sctx, "duration_cycles")?,
+                    mean_interarrival_cycles: mean(seg, sctx)?,
+                })
+            })?
+            .ok_or_else(|| err_at(ctx, "segments: expected a non-empty array"))?;
             Ok(ArrivalProcess::Diurnal { segments })
         }
         other => Err(err_at(
@@ -185,102 +113,49 @@ fn parse_arrivals(
 /// Returns a human-readable message on malformed JSON, unknown
 /// networks / precisions / policies, or out-of-range parameters.
 pub fn parse_online_manifest(text: &str) -> Result<OnlineConfig, String> {
-    let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
+    let doc = manifest::parse(text)?;
     let cluster = doc.get("cluster").ok_or("manifest: missing `cluster` object")?;
 
-    let shard_specs = cluster
-        .get("shards")
-        .and_then(|v| v.as_array())
-        .filter(|a| !a.is_empty())
+    let shards = array_field(cluster, "cluster", "shards", parse_shard)?
         .ok_or("cluster.shards: expected a non-empty array")?;
-    let mut shards = Vec::with_capacity(shard_specs.len());
-    for (i, spec) in shard_specs.iter().enumerate() {
-        shards.push(parse_shard(spec, i)?);
-    }
 
-    let policy = match cluster.get("policy").and_then(|v| v.as_str()) {
+    let policy = match cluster.get("policy").and_then(JsonValue::as_str) {
         None => DispatchPolicy::LeastOutstanding,
         Some(s) => s.parse::<DispatchPolicy>().map_err(|e| err_at("cluster.policy", e))?,
     };
-    let seed = u64_field(cluster, "cluster", "seed")?.unwrap_or(0);
-    let horizon_cycles = u64_field(cluster, "cluster", "horizon_cycles")?
-        .filter(|h| *h >= 1)
-        .ok_or("cluster.horizon_cycles: expected a positive integer")?;
-    let max_jobs = u64_field(cluster, "cluster", "max_jobs")?.unwrap_or(u64::MAX);
-    let max_outstanding =
-        u64_field(cluster, "cluster", "max_outstanding")?.unwrap_or(64);
-    if max_outstanding == 0 {
-        return Err("cluster.max_outstanding: must be positive".into());
-    }
-    let max_backlog_cycles = u64_field(cluster, "cluster", "max_backlog_cycles")?;
-    let event_log_cap = u64_field(cluster, "cluster", "event_log_cap")?
-        .map(|c| c as usize)
-        .unwrap_or(EVENT_LOG_CAP);
-    let workers = u64_field(cluster, "cluster", "workers")?
-        .map(|w| {
-            if w == 0 { Err("cluster.workers: must be positive".to_string()) } else { Ok(w as usize) }
-        })
-        .transpose()?;
+    let field = |key: &str| u64_field(cluster, "cluster", key);
 
-    let tenants = parse_tenants(&doc)?;
+    let tenants = manifest::tenants(&doc)?;
 
-    let source_specs = doc
-        .get("sources")
-        .and_then(|v| v.as_array())
-        .filter(|a| !a.is_empty())
-        .ok_or("manifest: missing non-empty `sources` array")?;
-    let mut sources = Vec::with_capacity(source_specs.len());
-    for (i, spec) in source_specs.iter().enumerate() {
-        let ctx = format!("sources[{i}]");
-        let net_name = spec
-            .get("network")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| err_at(&ctx, "missing `network`"))?;
-        let network = lookup_network(net_name).map_err(|e| err_at(&ctx, e))?;
-        let name = spec
-            .get("name")
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("source{i}"));
-        let precision = match spec.get("precision").and_then(|v| v.as_str()) {
-            None => PrecisionPolicy::AsTrained,
-            Some(s) => s
-                .parse::<PrecisionPolicy>()
-                .map_err(|e| err_at(&ctx, format!("precision: {e}")))?,
-        };
-        let tenant = spec
-            .get("tenant")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| err_at(&ctx, "tenant: expected a string"))
-            })
-            .transpose()?
-            .unwrap_or_else(|| "default".into());
-        let slo = tenants.get(&tenant).copied();
-        sources.push(TrafficSource {
+    let mut networks = BTreeMap::new();
+    let sources = array_field(&doc, "", "sources", |i, spec, ctx| {
+        let job = manifest::job_spec(spec, ctx, || format!("source{i}"), &mut networks)?;
+        let tenant = job.tenant.unwrap_or_else(|| "default".into());
+        Ok(TrafficSource {
             template: JobTemplate {
-                name,
+                name: job.name,
+                slo: tenants.get(&tenant).copied(),
                 tenant: TenantId::new(tenant),
-                network,
-                precision,
-                deadline_cycles: u64_field(spec, &ctx, "deadline_cycles")?,
-                slo,
+                network: job.network,
+                precision: job.policy,
+                deadline_cycles: job.deadline_cycles,
             },
-            process: parse_arrivals(spec, &ctx)?,
-        });
-    }
+            process: parse_arrivals(spec, ctx)?,
+        })
+    })?
+    .ok_or("manifest: missing non-empty `sources` array")?;
 
     Ok(OnlineConfig {
         shards,
         policy,
-        seed,
-        horizon_cycles,
-        max_jobs,
-        max_outstanding,
-        max_backlog_cycles,
-        event_log_cap,
-        workers,
+        seed: field("seed")?.unwrap_or(0),
+        horizon_cycles: required_positive(cluster, "cluster", "horizon_cycles")?,
+        max_jobs: field("max_jobs")?.unwrap_or(u64::MAX),
+        max_outstanding: manifest::positive_field(cluster, "cluster", "max_outstanding")?
+            .unwrap_or(64),
+        max_backlog_cycles: field("max_backlog_cycles")?,
+        event_log_cap: field("event_log_cap")?.map_or(EVENT_LOG_CAP, |c| c as usize),
+        workers: manifest::workers_field(cluster, "cluster")?,
         sources,
     })
 }
@@ -401,33 +276,7 @@ pub fn render(run: &OnlineRun) -> String {
             f.dispatched,
         );
     }
-    for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
-        let _ = writeln!(out, "  engine.jobs{labels} {total}");
-    }
-    for t in &r.slo.tenants {
-        let verdict = match &t.attainment {
-            Some(a) if a.attained => "SLO met".to_string(),
-            Some(a) => format!(
-                "SLO MISSED (p99 {}, goodput {})",
-                if a.latency_p99_ok { "ok" } else { "over" },
-                if a.goodput_ok { "ok" } else { "under" },
-            ),
-            None => "no target".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "tenant {:<12} {} submitted / {} completed / {} rejected / {} shed, latency p99 {} cyc, goodput {:.2}, {:.1} pJ — {}",
-            t.tenant,
-            t.submitted,
-            t.completed,
-            t.rejected,
-            t.shed,
-            t.latency.p99,
-            t.goodput,
-            t.energy_fj as f64 / 1e3,
-            verdict,
-        );
-    }
+    render_outcomes(&mut out, &run.metrics, &r.slo, "latency p99");
     if r.events_truncated > 0 {
         let _ = writeln!(
             out,
@@ -538,47 +387,19 @@ pub fn report_json(run: &OnlineRun) -> String {
     }
     j.end_object();
 
-    j.key("queue_wait_cycles").begin_object();
-    match run.metrics.histogram("engine.queue.wait_cycles") {
-        Some(h) => {
-            j.key("count").u64(h.count);
-            j.key("max").u64(h.max);
-            j.key("p50").f64(h.p50().unwrap_or(0.0));
-            j.key("p95").f64(h.p95().unwrap_or(0.0));
-            j.key("p99").f64(h.p99().unwrap_or(0.0));
-        }
-        None => {
-            j.key("count").u64(0);
-        }
-    }
-    j.end_object();
+    write_queue_wait(&mut j, &run.metrics);
 
     // Wall clock (`engine.run_online_ns`) is deliberately omitted: the
     // report is byte-compared across worker counts, so every field must
     // be a pure function of the manifest.
     j.end_object();
-    let mut text = j.finish();
-    text.push('\n');
-    text
+    finish_doc(j)
 }
 
-/// Machine-readable per-tenant SLO report, sharing the exact tenant
-/// layout of `repro serve`'s `--slo-out` (see
-/// [`write_slo_tenants`](crate::serve)) under a cluster header.
+/// Machine-readable per-tenant SLO report: `repro serve`'s `--slo-out`
+/// layout under a cluster header.
 pub fn slo_json(run: &OnlineRun) -> String {
-    let slo = &run.report.slo;
-    let mut j = JsonBuilder::new();
-    j.begin_object();
-    j.key("cluster").begin_object();
-    j.key("policy").string(&run.report.policy.to_string());
-    j.key("window_width_cycles").u64(slo.window_width_cycles);
-    j.key("total_energy_fj").u64(slo.total_energy_fj());
-    j.end_object();
-    write_slo_tenants(&mut j, slo);
-    j.end_object();
-    let mut text = j.finish();
-    text.push('\n');
-    text
+    slo_document("cluster", ("policy", &run.report.policy.to_string()), &run.report.slo)
 }
 
 /// Structured event log: one strict-JSON line summarizing the run, then
@@ -587,8 +408,6 @@ pub fn slo_json(run: &OnlineRun) -> String {
 /// truncation count so consumers know the tail is aggregate-only).
 pub fn events_jsonl(run: &OnlineRun) -> String {
     let r = &run.report;
-    let mut lines = Vec::with_capacity(1 + r.events.len());
-
     let mut head = JsonBuilder::new();
     head.begin_object();
     head.key("event").string("online");
@@ -601,9 +420,8 @@ pub fn events_jsonl(run: &OnlineRun) -> String {
     head.key("makespan_cycles").u64(r.makespan_cycles);
     head.key("events_truncated").u64(r.events_truncated);
     head.end_object();
-    lines.push(head.finish());
 
-    for e in &r.events {
+    let jobs = r.events.iter().map(|e| {
         let mut j = JsonBuilder::new();
         j.begin_object();
         j.key("event").string("job");
@@ -619,16 +437,9 @@ pub fn events_jsonl(run: &OnlineRun) -> String {
         j.key("start_cycle").u64(e.start_cycle);
         j.key("completion_cycle").u64(e.completion_cycle);
         j.end_object();
-        lines.push(j.finish());
-    }
-
-    let mut out = String::new();
-    for line in lines {
-        bsc_telemetry::parse_json(&line).expect("event line must be strict RFC 8259 JSON");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+        j.finish()
+    });
+    jsonl(std::iter::once(head.finish()).chain(jobs))
 }
 
 /// Chrome trace-event timeline of the online run: **one process (track
@@ -656,36 +467,18 @@ pub fn perfetto_json(run: &OnlineRun) -> String {
     // One process per shard, in shard order.
     for (i, name) in run.shard_names.iter().enumerate() {
         let pid = i as u64 + 1;
-        j.begin_object();
-        j.key("ph").string("M");
-        j.key("pid").u64(pid);
-        j.key("name").string("process_name");
-        j.key("args").begin_object();
-        j.key("name").string(&format!("shard {name}"));
-        j.end_object();
-        j.end_object();
-        for (tid, label) in [(DISPATCH_TID, "dispatch"), (DECISIONS_TID, "decisions")] {
-            j.begin_object();
-            j.key("ph").string("M");
-            j.key("pid").u64(pid);
-            j.key("tid").u64(tid);
-            j.key("name").string("thread_name");
-            j.key("args").begin_object();
-            j.key("name").string(label);
-            j.end_object();
-            j.end_object();
-        }
+        meta(&mut j, pid, None, "process_name", &format!("shard {name}"));
+        meta(&mut j, pid, Some(DISPATCH_TID), "thread_name", "dispatch");
+        meta(&mut j, pid, Some(DECISIONS_TID), "thread_name", "decisions");
     }
+    let pid_of =
+        |shard: &str| run.shard_names.iter().position(|n| n == shard).map_or(0, |i| i as u64 + 1);
 
     // Depth-observatory counter tracks: one per shard (the shard's own
     // process), rendered by Perfetto as stacked counter plots over the
     // virtual clock.
     for d in &r.depth {
-        let pid = run
-            .shard_names
-            .iter()
-            .position(|n| *n == d.shard)
-            .map_or(0, |i| i as u64 + 1);
+        let pid = pid_of(&d.shard);
         for s in &d.samples {
             j.begin_object();
             j.key("ph").string("C");
@@ -701,11 +494,7 @@ pub fn perfetto_json(run: &OnlineRun) -> String {
     }
 
     for e in &r.events {
-        let pid = run
-            .shard_names
-            .iter()
-            .position(|n| *n == e.shard)
-            .map_or(0, |i| i as u64 + 1);
+        let pid = pid_of(&e.shard);
         j.begin_object();
         if e.outcome == "completed" {
             j.key("ph").string("X");
@@ -736,14 +525,13 @@ pub fn perfetto_json(run: &OnlineRun) -> String {
 
     j.end_array();
     j.end_object();
-    let mut text = j.finish();
-    text.push('\n');
-    text
+    finish_doc(j)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use bsc_mac::MacKind;
 
     pub(crate) const MANIFEST: &str = r#"{
       "cluster": {
@@ -799,12 +587,17 @@ pub(crate) mod tests {
     #[test]
     fn malformed_online_manifests_are_rejected_with_context() {
         assert!(parse_online_manifest("{}").unwrap_err().contains("cluster"));
-        let bad = MANIFEST.replace("least-outstanding", "random");
-        assert!(parse_online_manifest(&bad).unwrap_err().contains("policy"));
-        let bad = MANIFEST.replace("\"process\": \"poisson\"", "\"process\": \"weibull\"");
-        assert!(parse_online_manifest(&bad).unwrap_err().contains("weibull"));
-        let bad = MANIFEST.replace("micro", "alexnet");
-        assert!(parse_online_manifest(&bad).unwrap_err().contains("alexnet"));
+        // Errors start with the path of the field at fault.
+        for (from, to, path) in [
+            ("least-outstanding", "random", "cluster.policy"),
+            ("\"process\": \"poisson\"", "\"process\": \"weibull\"", "sources[0]: arrivals.process"),
+            ("micro", "alexnet", "sources[0]: unknown network `alexnet`"),
+            ("\"edge\"", "\"hbm\"", "cluster.shards[1]: mem"),
+            ("\"duration_cycles\": 50000", "\"duration_cycles\": 0", "sources[2].segments[0]"),
+        ] {
+            let err = parse_online_manifest(&MANIFEST.replace(from, to)).unwrap_err();
+            assert!(err.starts_with(path), "{err}");
+        }
     }
 
     #[test]

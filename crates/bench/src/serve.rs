@@ -38,12 +38,12 @@
 
 use std::collections::BTreeMap;
 
-use bsc_accel::{
-    BatchReport, Engine, EngineConfig, InferenceJob, JobOutcome, PrecisionPolicy, SloTarget,
-};
+use bsc_accel::{BatchReport, Engine, EngineConfig, InferenceJob, JobOutcome, SloTarget};
 use bsc_mac::MacKind;
-use bsc_nn::{models, SharedNetwork};
 use bsc_telemetry::{JsonBuilder, MetricsSnapshot, SpanSnapshot};
+
+use crate::export::{finish_doc, jsonl, render_outcomes, slo_document, write_queue_wait};
+use crate::manifest::{self, err_at, positive_field, u64_field};
 
 /// A parsed manifest: engine parameters plus the job list.
 #[derive(Debug)]
@@ -73,57 +73,6 @@ pub struct ServeRun {
     pub spans: SpanSnapshot,
 }
 
-fn err_at(context: &str, detail: impl std::fmt::Display) -> String {
-    format!("{context}: {detail}")
-}
-
-pub(crate) fn lookup_network(name: &str) -> Result<SharedNetwork, String> {
-    let net = match name.trim().to_ascii_lowercase().replace(['-', '_'], "").as_str() {
-        "lenet5" | "lenet" => models::lenet5(),
-        "vgg16" | "vgg" => models::vgg16(),
-        "resnet18" | "resnet" => models::resnet18(),
-        "nas" | "nasbased" | "nasvgg" => models::nas_based(),
-        "micro" | "micromlp" => models::micro(),
-        other => return Err(format!("unknown network `{other}` (expected lenet5|vgg16|resnet18|nas|micro)")),
-    };
-    Ok(net.into_shared())
-}
-
-/// Parses the optional top-level `tenants` object shared by the serve
-/// and online manifests.
-pub(crate) fn parse_tenants(
-    doc: &bsc_telemetry::JsonValue,
-) -> Result<BTreeMap<String, SloTarget>, String> {
-    let mut tenants: BTreeMap<String, SloTarget> = BTreeMap::new();
-    if let Some(t) = doc.get("tenants") {
-        let bsc_telemetry::JsonValue::Object(members) = t else {
-            return Err("manifest: `tenants` must be an object".into());
-        };
-        for (tenant, spec) in members {
-            let ctx = format!("tenants.{tenant}");
-            let p99 = spec
-                .get("latency_p99_cycles")
-                .and_then(|v| v.as_f64())
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .ok_or_else(|| {
-                    err_at(&ctx, "latency_p99_cycles: expected a non-negative integer")
-                })? as u64;
-            let min_goodput = match spec.get("min_goodput") {
-                None => 0.0,
-                Some(v) => v
-                    .as_f64()
-                    .filter(|g| (0.0..=1.0).contains(g))
-                    .ok_or_else(|| err_at(&ctx, "min_goodput: expected a number in 0..=1"))?,
-            };
-            tenants.insert(
-                tenant.clone(),
-                SloTarget { latency_p99_cycles: p99, min_goodput },
-            );
-        }
-    }
-    Ok(tenants)
-}
-
 /// Parses a serve manifest.
 ///
 /// # Errors
@@ -131,128 +80,43 @@ pub(crate) fn parse_tenants(
 /// Returns a human-readable message on malformed JSON, unknown networks,
 /// unknown precisions, or out-of-range parameters.
 pub fn parse_manifest(text: &str) -> Result<ServeManifest, String> {
-    let doc = bsc_telemetry::parse_json(text).map_err(|e| err_at("manifest", e))?;
+    let doc = manifest::parse(text)?;
     let eng = doc.get("engine").ok_or("manifest: missing `engine` object")?;
-    let kind = match eng
-        .get("kind")
-        .and_then(|v| v.as_str())
-        .unwrap_or("bsc")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "bsc" => MacKind::Bsc,
-        "lpc" => MacKind::Lpc,
-        "hps" => MacKind::Hps,
-        other => return Err(format!("engine.kind: unknown architecture `{other}`")),
-    };
-    let quick = matches!(eng.get("quick"), Some(bsc_telemetry::JsonValue::Bool(true)));
-    let mut config = if quick { EngineConfig::quick(kind) } else { EngineConfig::paper(kind) };
-    let usize_field = |key: &str| -> Result<Option<usize>, String> {
-        match eng.get(key) {
-            None => Ok(None),
-            Some(v) => {
-                let n = v.as_f64().ok_or_else(|| format!("engine.{key}: expected a number"))?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(format!("engine.{key}: expected a non-negative integer"));
-                }
-                Ok(Some(n as usize))
-            }
-        }
-    };
-    if let Some(cap) = usize_field("queue_capacity")? {
-        if cap == 0 {
-            return Err("engine.queue_capacity: must be positive".into());
-        }
-        config.queue_capacity = cap;
+    let mut config = EngineConfig::new(manifest::accelerator(eng, "engine")?);
+    if let Some(cap) = positive_field(eng, "engine", "queue_capacity")? {
+        config.queue_capacity = cap as usize;
     }
-    if let Some(w) = usize_field("workers")? {
-        if w == 0 {
-            return Err("engine.workers: must be positive".into());
-        }
-        config.workers = Some(w);
-    }
-    if let Some(limit) = usize_field("max_backlog_cycles")? {
-        config.max_backlog_cycles = Some(limit as u64);
-    }
+    config.workers = manifest::workers_field(eng, "engine")?;
+    config.max_backlog_cycles = u64_field(eng, "engine", "max_backlog_cycles")?;
 
-    let tenants = parse_tenants(&doc)?;
+    let tenants = manifest::tenants(&doc)?;
 
     let specs = doc
         .get("jobs")
         .and_then(|v| v.as_array())
         .ok_or("manifest: missing `jobs` array")?;
-    let mut networks: BTreeMap<String, SharedNetwork> = BTreeMap::new();
+    let mut networks = BTreeMap::new();
     let mut jobs = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
         let ctx = format!("jobs[{i}]");
-        let net_name = spec
-            .get("network")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| err_at(&ctx, "missing `network`"))?;
-        let network = match networks.get(net_name) {
-            Some(n) => SharedNetwork::clone(n),
-            None => {
-                let n = lookup_network(net_name).map_err(|e| err_at(&ctx, e))?;
-                networks.insert(net_name.to_string(), SharedNetwork::clone(&n));
-                n
-            }
-        };
-        let name = spec
-            .get("name")
-            .and_then(|v| v.as_str())
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("job{i}"));
-        let policy = match spec.get("precision").and_then(|v| v.as_str()) {
-            None => PrecisionPolicy::AsTrained,
-            Some(s) => s
-                .parse::<PrecisionPolicy>()
-                .map_err(|e| err_at(&ctx, format!("precision: {e}")))?,
-        };
-        let deadline = match spec.get("deadline_cycles") {
-            None => None,
-            Some(v) => {
-                let n = v
-                    .as_f64()
-                    .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                    .ok_or_else(|| err_at(&ctx, "deadline_cycles: expected a non-negative integer"))?;
-                Some(n as u64)
-            }
-        };
-        let count = match spec.get("count") {
-            None => 1,
-            Some(v) => v
-                .as_f64()
-                .filter(|n| *n >= 1.0 && n.fract() == 0.0)
-                .ok_or_else(|| err_at(&ctx, "count: expected a positive integer"))?
-                as usize,
-        };
-        let tenant = spec
-            .get("tenant")
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| err_at(&ctx, "tenant: expected a string"))
-            })
-            .transpose()?;
+        let job = manifest::job_spec(spec, &ctx, || format!("job{i}"), &mut networks)?;
+        let count = positive_field(spec, &ctx, "count")?.unwrap_or(1);
         for rep in 0..count {
-            let mut job = InferenceJob::new(
-                if count == 1 { name.clone() } else { format!("{name}#{rep}") },
-                SharedNetwork::clone(&network),
-            )
-            .with_policy(policy);
-            if let Some(d) = deadline {
-                job = job.with_deadline(d);
+            let name = if count == 1 { job.name.clone() } else { format!("{}#{rep}", job.name) };
+            let mut queued = InferenceJob::new(name, job.network.clone()).with_policy(job.policy);
+            if let Some(d) = job.deadline_cycles {
+                queued = queued.with_deadline(d);
             }
-            if let Some(t) = &tenant {
-                job = job.with_tenant(t.clone());
+            if let Some(t) = &job.tenant {
+                queued = queued.with_tenant(t.clone());
                 // Submitting a job with a target declares it for the
                 // whole tenant; targets for tenants that never submit
                 // are simply unused.
                 if let Some(target) = tenants.get(t) {
-                    job = job.with_slo(*target);
+                    queued = queued.with_slo(*target);
                 }
             }
-            jobs.push(job);
+            jobs.push(queued);
         }
     }
     Ok(ServeManifest { engine: config, tenants, jobs })
@@ -309,36 +173,7 @@ pub fn render(run: &ServeRun) -> String {
             h.max,
         );
     }
-    // Labeled outcome totals: one line per `engine.jobs{...}` point, in
-    // the family's canonical order.
-    for (labels, total) in run.metrics.labeled_counter("engine.jobs") {
-        let _ = writeln!(out, "  engine.jobs{labels} {total}");
-    }
-    // Per-tenant SLO summary.
-    for t in &run.batch.slo.tenants {
-        let verdict = match &t.attainment {
-            Some(a) if a.attained => "SLO met".to_string(),
-            Some(a) => format!(
-                "SLO MISSED (p99 {}, goodput {})",
-                if a.latency_p99_ok { "ok" } else { "over" },
-                if a.goodput_ok { "ok" } else { "under" },
-            ),
-            None => "no target".to_string(),
-        };
-        let _ = writeln!(
-            out,
-            "tenant {:<12} {} submitted / {} completed / {} rejected / {} shed, p99 {} cyc, goodput {:.2}, {:.1} pJ — {}",
-            t.tenant,
-            t.submitted,
-            t.completed,
-            t.rejected,
-            t.shed,
-            t.latency.p99,
-            t.goodput,
-            t.energy_fj as f64 / 1e3,
-            verdict,
-        );
-    }
+    render_outcomes(&mut out, &run.metrics, &run.batch.slo, "p99");
     out
 }
 
@@ -411,30 +246,13 @@ pub fn report_json(run: &ServeRun) -> String {
     j.key("engine.queue.peak_depth").i64(run.metrics.gauge("engine.queue.peak_depth"));
     j.end_object();
 
-    // Admission → dispatch waits on the virtual batch clock: cycle-domain
-    // and therefore deterministic and gated like every other count.
-    j.key("queue_wait_cycles").begin_object();
-    match run.metrics.histogram("engine.queue.wait_cycles") {
-        Some(h) => {
-            j.key("count").u64(h.count);
-            j.key("max").u64(h.max);
-            j.key("p50").f64(h.p50().unwrap_or(0.0));
-            j.key("p95").f64(h.p95().unwrap_or(0.0));
-            j.key("p99").f64(h.p99().unwrap_or(0.0));
-        }
-        None => {
-            j.key("count").u64(0);
-        }
-    }
-    j.end_object();
+    write_queue_wait(&mut j, &run.metrics);
 
     // Wall clock, reported but never gated (the `_ns` suffix).
     j.key("run_batch_ns")
         .u64(run.metrics.histogram("engine.run_batch_ns").map_or(0, |h| h.sum));
     j.end_object();
-    let mut text = j.finish();
-    text.push('\n');
-    text
+    finish_doc(j)
 }
 
 /// Machine-readable per-tenant SLO report for the CI baseline gate.
@@ -444,100 +262,8 @@ pub fn report_json(run: &ServeRun) -> String {
 /// from integers (rates), all computed by a serial fold over the
 /// outcome list — the document is byte-identical at any worker count
 /// and is diffed at `--tol 0` against `BENCH_slo_baseline.json`.
-/// Tenant entries carry a `name` member so diff paths are keyed by
-/// tenant, not array position.
 pub fn slo_json(run: &ServeRun) -> String {
-    let slo = &run.batch.slo;
-    let mut j = JsonBuilder::new();
-    j.begin_object();
-    j.key("engine").begin_object();
-    j.key("kind").string(&run.kind.to_string());
-    j.key("window_width_cycles").u64(slo.window_width_cycles);
-    j.key("total_energy_fj").u64(slo.total_energy_fj());
-    j.end_object();
-
-    write_slo_tenants(&mut j, slo);
-    j.end_object();
-    let mut text = j.finish();
-    text.push('\n');
-    text
-}
-
-/// Writes the `tenants` array of an SLO report — the exact member
-/// layout both `repro serve` and `repro online` gate at `--tol 0`.
-pub(crate) fn write_slo_tenants(j: &mut JsonBuilder, slo: &bsc_accel::SloReport) {
-    j.key("tenants").begin_array();
-    for t in &slo.tenants {
-        j.begin_object();
-        j.key("name").string(t.tenant.as_str());
-        j.key("submitted").u64(t.submitted);
-        j.key("completed").u64(t.completed);
-        j.key("rejected").u64(t.rejected);
-        j.key("shed").u64(t.shed);
-        j.key("goodput").f64(t.goodput);
-        j.key("reject_rate").f64(t.reject_rate());
-        j.key("shed_rate").f64(t.shed_rate());
-        j.key("deadline_jobs").u64(t.deadline_jobs);
-        j.key("deadline_met").u64(t.deadline_met);
-        j.key("macs").u64(t.macs);
-        j.key("energy_fj").u64(t.energy_fj);
-
-        j.key("latency_cycles").begin_object();
-        j.key("count").u64(t.latency.count);
-        j.key("min").u64(t.latency.min);
-        j.key("max").u64(t.latency.max);
-        j.key("p50").u64(t.latency.p50);
-        j.key("p95").u64(t.latency.p95);
-        j.key("p99").u64(t.latency.p99);
-        j.end_object();
-
-        j.key("rejected_by_reason").begin_object();
-        for (reason, n) in &t.rejected_by_reason {
-            j.key(reason).u64(*n);
-        }
-        j.end_object();
-        j.key("shed_by_reason").begin_object();
-        for (reason, n) in &t.shed_by_reason {
-            j.key(reason).u64(*n);
-        }
-        j.end_object();
-
-        j.key("energy_by_precision").begin_object();
-        for (precision, fj) in &t.energy_by_precision {
-            j.key(precision).u64(*fj);
-        }
-        j.end_object();
-
-        if let Some(target) = &t.target {
-            j.key("target").begin_object();
-            j.key("latency_p99_cycles").u64(target.latency_p99_cycles);
-            j.key("min_goodput").f64(target.min_goodput);
-            j.end_object();
-        }
-        if let Some(a) = &t.attainment {
-            j.key("attainment").begin_object();
-            j.key("latency_p99_ok").bool(a.latency_p99_ok);
-            j.key("goodput_ok").bool(a.goodput_ok);
-            j.key("attained").bool(a.attained);
-            j.key("p99_ratio").f64(a.p99_ratio);
-            j.key("burn_rate").f64(a.burn_rate);
-            j.end_object();
-        }
-
-        j.key("windows").begin_array();
-        for w in &t.windows {
-            j.begin_object();
-            j.key("window").u64(w.window);
-            j.key("start_cycle").u64(w.start_cycle);
-            j.key("completed").u64(w.completed);
-            j.key("shed").u64(w.shed);
-            j.key("macs").u64(w.macs);
-            j.end_object();
-        }
-        j.end_array();
-        j.end_object();
-    }
-    j.end_array();
+    slo_document("engine", ("kind", &run.kind.to_string()), &run.batch.slo)
 }
 
 /// Structured event log: one strict-JSON object per line, each stamped
@@ -549,27 +275,27 @@ pub(crate) fn write_slo_tenants(j: &mut JsonBuilder, slo: &bsc_accel::SloReport)
 /// line to parse under the strict RFC 8259 parser (which this function
 /// also asserts itself, line by line).
 pub fn events_jsonl(run: &ServeRun) -> String {
-    let batch_span = run.spans.by_name("engine.run_batch").map_or(0, |s| s.id);
-    let mut lines = Vec::new();
+    let batch = run.spans.by_name("engine.run_batch");
+    let batch_span = batch.map_or(0, |s| s.id);
+    let mut head = JsonBuilder::new();
+    head.begin_object();
+    head.key("event").string("batch");
+    head.key("span").u64(batch_span);
+    head.key("kind").string(&run.kind.to_string());
+    head.key("submitted").u64(run.batch.submitted() as u64);
+    head.key("completed").u64(run.batch.completed_count() as u64);
+    head.key("rejected").u64(run.batch.rejected_count() as u64);
+    head.key("shed").u64(run.batch.shed_count() as u64);
+    head.key("makespan_cycles").u64(run.batch.makespan_cycles());
+    head.key("duration_ns").u64(batch.map_or(0, |s| s.duration_ns()));
+    head.end_object();
 
-    let mut batch = JsonBuilder::new();
-    batch.begin_object();
-    batch.key("event").string("batch");
-    batch.key("span").u64(batch_span);
-    batch.key("kind").string(&run.kind.to_string());
-    batch.key("submitted").u64(run.batch.submitted() as u64);
-    batch.key("completed").u64(run.batch.completed_count() as u64);
-    batch.key("rejected").u64(run.batch.rejected_count() as u64);
-    batch.key("shed").u64(run.batch.shed_count() as u64);
-    batch.key("makespan_cycles").u64(run.batch.makespan_cycles());
-    batch
-        .key("duration_ns")
-        .u64(run.spans.by_name("engine.run_batch").map_or(0, |s| s.duration_ns()));
-    batch.end_object();
-    lines.push(batch.finish());
-
-    for outcome in run.batch.outcomes() {
-        let span = run.spans.by_name(&format!("engine.job.{}", outcome.name()));
+    let jobs = run.batch.outcomes().iter().map(|outcome| {
+        // A completed job carries the span of the evaluation that
+        // produced its report, which it may share with earlier jobs.
+        let span = outcome
+            .report()
+            .and_then(|r| run.spans.by_name(&format!("engine.job.{}", r.evaluation)));
         let mut j = JsonBuilder::new();
         j.begin_object();
         j.key("event").string("job");
@@ -597,21 +323,15 @@ pub fn events_jsonl(run: &ServeRun) -> String {
         }
         j.key("duration_ns").u64(span.map_or(0, |s| s.duration_ns()));
         j.end_object();
-        lines.push(j.finish());
-    }
-
-    let mut out = String::new();
-    for line in lines {
-        bsc_telemetry::parse_json(&line).expect("event line must be strict RFC 8259 JSON");
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
+        j.finish()
+    });
+    jsonl(std::iter::once(head.finish()).chain(jobs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsc_nn::SharedNetwork;
 
     const MANIFEST: &str = r#"{
       "engine": {"kind": "bsc", "quick": true, "queue_capacity": 4, "workers": 2},
@@ -638,10 +358,16 @@ mod tests {
     #[test]
     fn malformed_manifests_are_rejected_with_context() {
         assert!(parse_manifest("{}").unwrap_err().contains("engine"));
-        let bad_net = MANIFEST.replace("lenet5", "alexnet");
-        assert!(parse_manifest(&bad_net).unwrap_err().contains("alexnet"));
-        let bad_precision = MANIFEST.replace("int8", "int3");
-        assert!(parse_manifest(&bad_precision).unwrap_err().contains("precision"));
+        // Errors start with the path of the field at fault.
+        for (from, to, path) in [
+            ("lenet5", "alexnet", "jobs[0]: unknown network `alexnet`"),
+            ("int8", "int3", "jobs[1]: precision"),
+            ("\"count\": 2", "\"count\": 0", "jobs[1]: count"),
+            ("\"bsc\"", "\"tpu\"", "engine: kind"),
+        ] {
+            let err = parse_manifest(&MANIFEST.replace(from, to)).unwrap_err();
+            assert!(err.starts_with(path), "{err}");
+        }
     }
 
     const TENANT_MANIFEST: &str = r#"{
@@ -670,7 +396,7 @@ mod tests {
         assert!(m.jobs[3].slo.is_none());
         // Malformed targets are rejected with context.
         let bad = TENANT_MANIFEST.replace("900000000", "-1");
-        assert!(parse_manifest(&bad).unwrap_err().contains("latency_p99_cycles"));
+        assert!(parse_manifest(&bad).unwrap_err().starts_with("tenants.gold: latency_p99_cycles"));
         let bad = TENANT_MANIFEST.replace("0.5", "1.5");
         assert!(parse_manifest(&bad).unwrap_err().contains("min_goodput"));
     }

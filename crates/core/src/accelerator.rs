@@ -59,6 +59,12 @@ impl AcceleratorConfig {
         }
     }
 
+    /// The gate-level characterization this accelerator runs on: the
+    /// `characterize` settings at the array's vector length.
+    pub fn characterize_config(&self) -> CharacterizeConfig {
+        CharacterizeConfig { length: self.array.vector_length, ..self.characterize.clone() }
+    }
+
     /// Same accelerator behind a different memory hierarchy.
     pub fn with_mem(mut self, mem: MemConfig) -> Self {
         self.mem = mem;
@@ -100,9 +106,7 @@ impl Accelerator {
     ///
     /// Propagates gate-level simulation failures.
     pub fn new(config: AcceleratorConfig) -> Result<Self, AccelError> {
-        let mut charac_cfg = config.characterize.clone();
-        charac_cfg.length = config.array.vector_length;
-        let charac = DesignCharacterization::new(config.kind, &charac_cfg)?;
+        let charac = DesignCharacterization::new(config.kind, &config.characterize_config())?;
         Ok(Self::with_characterization(config, charac))
     }
 
@@ -117,9 +121,7 @@ impl Accelerator {
         config: AcceleratorConfig,
         cache: &crate::engine::CharacterizationCache,
     ) -> Result<Self, AccelError> {
-        let mut charac_cfg = config.characterize.clone();
-        charac_cfg.length = config.array.vector_length;
-        let charac = cache.get_or_characterize(config.kind, &charac_cfg)?;
+        let charac = cache.get_for(&config)?;
         Ok(Self::with_shared_characterization(config, charac))
     }
 

@@ -26,9 +26,10 @@
 //!    visible to same-cycle arrivals.
 //!
 //! Every scheduling decision happens serially on the event clock.
-//! Workers enter only afterwards, to evaluate the expensive per-layer
-//! [`NetworkReport`] **once per distinct (traffic source × shard)
-//! pair** — results merge by pair index, so the whole
+//! Workers enter only afterwards, in the evaluation phase batch serving
+//! shares, to evaluate the expensive per-layer
+//! [`NetworkReport`](crate::NetworkReport) **once per distinct (traffic
+//! source × shard) pair** — results merge by pair index, so the whole
 //! [`OnlineReport`], including the folded [`SloReport`], is
 //! bit-identical at any worker count.  Latency is `completion −
 //! arrival` on the event clock; outcomes stream into the existing
@@ -36,7 +37,6 @@
 //! for free over 10⁵–10⁶ simulated jobs.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use bsc_mac::MacKind;
@@ -48,12 +48,11 @@ use bsc_telemetry::{
 
 use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
 use crate::engine::{
-    estimate_cycles_for, schedule_cycles_for, CharacterizationCache, PrecisionPolicy,
-    RejectReason, ShedReason,
+    estimate_cycles_for, evaluate_distinct, schedule_cycles_for, CharacterizationCache,
+    Evaluation, PrecisionPolicy, RejectReason, ShedReason,
 };
-use crate::report::NetworkReport;
 use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
-use crate::{AccelError, Accelerator, AcceleratorConfig};
+use crate::{AccelError, AcceleratorConfig};
 
 /// One shard of the cluster: a named accelerator configuration.  Shards
 /// may differ in MAC kind *and* memory hierarchy.
@@ -1057,10 +1056,13 @@ pub fn run_online_with_metrics(
         let start = shards[hi].busy_until.max(now);
         let completion = start + cycles;
         if let Some(d) = tmpl.deadline_cycles {
-            if completion > now + d {
+            // Saturating: a relative deadline near `u64::MAX` means "no
+            // deadline in practice", not a wrapped one in the past.
+            let deadline = now.saturating_add(d);
+            if completion > deadline {
                 let reason = ShedReason::DeadlineMissed {
                     completion_cycle: completion,
-                    deadline_cycles: now + d,
+                    deadline_cycles: deadline,
                 };
                 shed += 1;
                 shard_reports[hi].shed += 1;
@@ -1134,47 +1136,32 @@ pub fn run_online_with_metrics(
     // NetworkReport per distinct (source × shard) pair that completed at
     // least one job; merged by pair index, so worker count is invisible.
     let t_schedule = clock.is_some().then(Instant::now);
+    let mut pair_report: Vec<Option<usize>> = vec![None; config.sources.len() * n_shards];
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut seen = vec![false; config.sources.len() * n_shards];
-        for rec in &completed_recs {
-            let key = rec.source as usize * n_shards + rec.shard as usize;
-            if !seen[key] {
-                seen[key] = true;
-                pairs.push((rec.source as usize, rec.shard as usize));
-            }
-        }
-        pairs.sort_unstable();
-    }
-    let mut characs: Vec<Option<Arc<bsc_mac::ppa::DesignCharacterization>>> =
-        vec![None; n_shards];
-    for &(_, hi) in &pairs {
-        if characs[hi].is_none() {
-            let mut cc = config.shards[hi].accel.characterize.clone();
-            cc.length = config.shards[hi].accel.array.vector_length;
-            characs[hi] = Some(
-                CharacterizationCache::global()
-                    .get_or_characterize(config.shards[hi].accel.kind, &cc)?,
-            );
+    for rec in &completed_recs {
+        let slot = &mut pair_report[rec.source as usize * n_shards + rec.shard as usize];
+        if slot.is_none() {
+            *slot = Some(pairs.len());
+            pairs.push((rec.source as usize, rec.shard as usize));
         }
     }
-    let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
-        pairs.len(),
-        config.workers,
-        || (),
-        |(), i| {
-            let (si, hi) = pairs[i];
-            let accel = Accelerator::with_shared_characterization(
-                config.shards[hi].accel.clone(),
-                Arc::clone(characs[hi].as_ref().expect("characterized above")),
-            );
-            accel.run_network(&networks[si])
-        },
-    );
-    let mut pair_reports: BTreeMap<(usize, usize), NetworkReport> = BTreeMap::new();
-    for (&pair, report) in pairs.iter().zip(reports) {
-        pair_reports.insert(pair, report?);
-    }
+    // Only shards that completed a job need their design characterized.
+    let characs = (0..n_shards)
+        .map(|hi| {
+            let used = pairs.iter().any(|&(_, h)| h == hi);
+            used.then(|| CharacterizationCache::global().get_for(&config.shards[hi].accel))
+                .transpose()
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let (reports, _) = evaluate_distinct(&pairs, config.workers, None, |i| {
+        let (si, hi) = pairs[i];
+        Evaluation {
+            accel: &config.shards[hi].accel,
+            charac: characs[hi].as_ref().expect("characterized above"),
+            network: &networks[si],
+            name: &config.sources[si].template.name,
+        }
+    })?;
     if let (Some(c), Some(t)) = (clock.as_mut(), t_schedule) {
         c.schedule_ns += ns_since(t);
     }
@@ -1210,7 +1197,8 @@ pub fn run_online_with_metrics(
     }
     for rec in &completed_recs {
         let tmpl = &config.sources[rec.source as usize].template;
-        let report = &pair_reports[&(rec.source as usize, rec.shard as usize)];
+        let report = &reports[pair_report[rec.source as usize * n_shards + rec.shard as usize]
+            .expect("every completed pair evaluated")];
         acc.observe_completion(
             &tmpl.tenant,
             rec.completion - rec.arrival,
@@ -1308,8 +1296,7 @@ pub fn run_online_with_metrics(
 
         ph.schedule.add("cycle_tables", (config.sources.len() * n_shards) as u64);
         ph.schedule.add("pairs_evaluated", pairs.len() as u64);
-        ph.schedule
-            .add("layers_evaluated", pair_reports.values().map(|r| r.layers().len() as u64).sum());
+        ph.schedule.add("layers_evaluated", reports.iter().map(|r| r.layers().len() as u64).sum());
 
         ph.slo.add("observations", slo_observations);
         ph.slo.add("completions_folded", completed);
@@ -1638,6 +1625,21 @@ mod tests {
             .rejected_by_reason
             .iter()
             .any(|(slug, n)| slug == "deadline_infeasible" && *n == gold.rejected));
+    }
+
+    #[test]
+    fn a_relative_deadline_near_u64_max_never_wraps() {
+        let run = |deadline| {
+            let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
+            config.sources[0].template.deadline_cycles = Some(deadline);
+            run_online(&config, &Telemetry::metrics_only()).unwrap()
+        };
+        let (far, max) = (run(1 << 63), run(u64::MAX));
+        assert!(far.slo.tenant("gold").expect("gold tenant present").completed > 0);
+        assert_eq!(max.shards, far.shards);
+        assert_eq!(max.funnel, far.funnel);
+        assert_eq!(max.slo, far.slo);
+        assert_eq!(max.events, far.events);
     }
 
     #[test]

@@ -32,9 +32,9 @@
 //!
 //! An exponential draw is `mean · (−ln(u / 2⁶⁴))`, and the costly part,
 //! the Q32 `−ln`, is a 32-step shift-and-square chain in which each step
-//! waits on the previous multiply.  [`ArrivalGen::fill`] (and
-//! [`ArrivalGen::refill`] on top of it) therefore works on a block of
-//! draws — 64 per refill in the online loop: it takes the block's RNG
+//! waits on the previous multiply.  [`ArrivalGen::fill`] therefore works
+//! on a block of draws — 64 per refill in the online loop: it takes the
+//! block's RNG
 //! words first, computes their `−ln` values eight chains at a time in
 //! lockstep (independent multiplies back to back), and then runs one
 //! cheap serial pass of the process's timestamp recurrence.  The result
@@ -53,7 +53,7 @@
 //! * the recurrence pass uses the scalar path's exact expressions,
 //!   including its saturation.
 //!
-//! Tests pin this draw for draw: 10⁶ draws per process at refill sizes
+//! Tests pin this draw for draw: 10⁶ draws per process at block sizes
 //! that straddle the 8-lane and 64-draw widths, and the kernel on every
 //! boundary word (0, 1, each `2ᵏ` and `2ᵏ ± 1`, `u64::MAX`).
 
@@ -404,9 +404,6 @@ pub fn neg_ln_unit_q32(u: u64) -> u64 {
 /// squaring chains to hide the multiply latency of each one.
 const LANES: usize = 8;
 
-/// Draws per [`ArrivalGen::refill`] stack block.
-const BLOCK: usize = 64;
-
 /// [`neg_ln_unit_q32`] over one lane group, the chains advanced in
 /// lockstep.  Bit-identical to the scalar kernel word for word:
 ///
@@ -554,7 +551,7 @@ impl ArrivalGen {
     /// are clamped to ≥ 1 cycle) until the clock saturates at
     /// `u64::MAX`, where it stays.
     ///
-    /// This is the scalar reference of [`ArrivalGen::refill`]: one RNG
+    /// This is the scalar reference of [`ArrivalGen::fill`]: one RNG
     /// word and one serial [`neg_ln_unit_q32`] per call.
     pub fn next_arrival(&mut self) -> u64 {
         let q = neg_ln_unit_q32(self.rng.next_u64());
@@ -613,19 +610,6 @@ impl ArrivalGen {
             tail.copy_from_slice(&group[..tail.len()]);
         }
         self.timestamps(out);
-    }
-
-    /// Appends the next `n` arrival cycles to `out`, filled through
-    /// [`ArrivalGen::fill`] one stack block of up to 64 at a time.
-    pub fn refill(&mut self, n: usize, out: &mut VecDeque<u64>) {
-        let mut block = [0u64; BLOCK];
-        let mut left = n;
-        while left > 0 {
-            let len = left.min(BLOCK);
-            self.fill(&mut block[..len]);
-            out.extend(&block[..len]);
-            left -= len;
-        }
     }
 
     /// The serial pass of [`ArrivalGen::fill`]: replaces each Q32 `−ln`
@@ -747,10 +731,9 @@ mod tests {
                 );
             }
             assert_eq!(times.last(), Some(&u64::MAX), "{p:?} should reach saturation");
-            let mut batched = ArrivalGen::new(p.clone(), 7);
-            let mut got = VecDeque::new();
-            batched.refill(times.len(), &mut got);
-            assert_eq!(Vec::from(got), times, "refill diverged from scalar for {p:?}");
+            let mut got = vec![0; times.len()];
+            ArrivalGen::new(p.clone(), 7).fill(&mut got);
+            assert_eq!(got, times, "fill diverged from scalar for {p:?}");
         }
     }
 
@@ -888,11 +871,13 @@ mod tests {
             let expect: Vec<u64> = (0..300).map(|_| scalar.next_arrival()).collect();
             // Uneven refill sizes must splice into the same stream.
             let mut batched = ArrivalGen::new(p.clone(), 20260808);
-            let mut got = VecDeque::new();
+            let mut got = vec![0; expect.len()];
+            let mut at = 0;
             for n in [1usize, 7, 64, 100, 128] {
-                batched.refill(n, &mut got);
+                batched.fill(&mut got[at..at + n]);
+                at += n;
             }
-            assert_eq!(Vec::from(got), expect, "refill diverged for {p:?}");
+            assert_eq!(got, expect, "refill diverged for {p:?}");
         }
     }
 

@@ -15,10 +15,11 @@
 //! * admission is deadline-aware: a job whose optimistic completion
 //!   already misses its deadline is rejected up front, and a configured
 //!   backlog limit sheds load before the array is hopelessly behind;
-//! * [`Engine::run_batch`] schedules the admitted jobs over the
-//!   `bsc_netlist::par` work-stealing pool and merges per-job
-//!   [`JobReport`]s **in submission order**, so results are independent
-//!   of the worker count, exactly like the sharded characterization.
+//! * [`Engine::run_batch`] evaluates each distinct (network, precision
+//!   policy) of the admitted jobs once over the `bsc_netlist::par`
+//!   work-stealing pool and merges per-job [`JobReport`]s **in submission
+//!   order**, so results are independent of the worker count, exactly
+//!   like the sharded characterization.
 //!
 //! Every scheduling decision (admit / reject / shed, queue waits, start
 //! and completion cycles) is computed on a *serial virtual clock* in
@@ -127,6 +128,19 @@ impl CharacterizationCache {
         let charac = Arc::new(DesignCharacterization::new(kind, config)?);
         entries.push(CacheEntry { kind, config: config.clone(), charac: Arc::clone(&charac) });
         Ok(charac)
+    }
+
+    /// The characterization an accelerator configuration runs on: its
+    /// `characterize` settings at its array's vector length.
+    ///
+    /// # Errors
+    ///
+    /// Propagates gate-level simulation failures from a cache miss.
+    pub fn get_for(
+        &self,
+        accel: &AcceleratorConfig,
+    ) -> Result<Arc<DesignCharacterization>, AccelError> {
+        self.get_or_characterize(accel.kind, &accel.characterize_config())
     }
 
     /// Number of lookups served from the cache.
@@ -393,6 +407,11 @@ pub struct JobReport {
     /// Per-layer numerics — identical to what a serial
     /// [`Accelerator::run_network`] call produces for the same network.
     pub report: NetworkReport,
+    /// The job whose evaluation produced `report`: this job's own name,
+    /// or an earlier job's in the same batch that ran the same submitted
+    /// network under the same precision policy.  Traced batches record
+    /// that evaluation as the `engine.job.<evaluation>` span.
+    pub evaluation: String,
 }
 
 impl JobReport {
@@ -544,15 +563,13 @@ struct Admitted {
     slot: usize,
     name: String,
     tenant: TenantId,
+    /// The submitted network, kept alive so its address stays a sound
+    /// evaluation key for the whole batch.
+    submitted: SharedNetwork,
+    policy: PrecisionPolicy,
+    /// `policy` applied to `submitted`.
     network: SharedNetwork,
     deadline_cycles: Option<u64>,
-}
-
-/// One submission slot: either already decided (rejected) or waiting.
-#[derive(Debug)]
-enum Slot {
-    Pending,
-    Decided(JobOutcome),
 }
 
 /// The report of one [`Engine::run_batch`] call.
@@ -697,6 +714,66 @@ pub(crate) fn schedule_cycles_for(
     Ok(cycles)
 }
 
+/// One network evaluation of the serving evaluation phase.
+pub(crate) struct Evaluation<'a> {
+    /// The accelerator the network runs on.
+    pub(crate) accel: &'a AcceleratorConfig,
+    /// That accelerator's characterized design.
+    pub(crate) charac: &'a Arc<DesignCharacterization>,
+    /// The precision-applied network.
+    pub(crate) network: &'a Network,
+    /// Names the `engine.job.<name>` span of a traced evaluation.
+    pub(crate) name: &'a str,
+}
+
+/// The evaluation phase shared by [`Engine::run_batch`] and the online
+/// cluster: one [`Accelerator::run_network`] per distinct key of `keys`,
+/// over the `bsc_netlist::par` pool.
+///
+/// `evaluation(i)` describes what item `i` runs; only the first item of
+/// each distinct key is evaluated, so items with equal keys must run the
+/// same network on the same accelerator.  Returns one report per
+/// distinct key, in first-occurrence order, and for each item the index
+/// of its key's report.  Results merge by index, so they never depend on
+/// the worker count.  With a `telemetry` hub attached, each evaluation
+/// runs under one `engine.job.<name>` span and counts into the hub's
+/// accelerator metrics.
+///
+/// # Errors
+///
+/// Propagates the first failing evaluation in key order.
+pub(crate) fn evaluate_distinct<'a, K: PartialEq>(
+    keys: &[K],
+    workers: Option<usize>,
+    telemetry: Option<&Telemetry>,
+    evaluation: impl Fn(usize) -> Evaluation<'a> + Sync,
+) -> Result<(Vec<NetworkReport>, Vec<usize>), AccelError> {
+    let mut firsts: Vec<usize> = Vec::new();
+    let index = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            firsts.iter().position(|&f| keys[f] == *key).unwrap_or_else(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    let reports = bsc_netlist::par::run_indexed(firsts.len(), workers, |k| {
+        let e = evaluation(firsts[k]);
+        let mut accel =
+            Accelerator::with_shared_characterization(e.accel.clone(), Arc::clone(e.charac));
+        let _span = telemetry.map(|tel| {
+            accel.attach_telemetry(tel.clone());
+            let g = tel.spans.begin(&format!("engine.job.{}", e.name));
+            g.annotate("network", &e.network.name);
+            g
+        });
+        accel.run_network(e.network)
+    });
+    Ok((reports.into_iter().collect::<Result<_, _>>()?, index))
+}
+
 /// The multi-tenant batch inference engine.  See the module docs for the
 /// admission / scheduling semantics.
 #[derive(Debug)]
@@ -704,7 +781,9 @@ pub struct Engine {
     config: EngineConfig,
     charac: Arc<DesignCharacterization>,
     queue: BoundedQueue<Admitted>,
-    slots: Vec<Slot>,
+    /// One terminal outcome per submission since the last batch; `None`
+    /// while the job waits in the queue.
+    slots: Vec<Option<JobOutcome>>,
     backlog_cycles: u64,
     slo_targets: std::collections::BTreeMap<TenantId, SloTarget>,
     telemetry: Telemetry,
@@ -732,9 +811,7 @@ impl Engine {
         config: EngineConfig,
         cache: &CharacterizationCache,
     ) -> Result<Self, AccelError> {
-        let mut cc = config.accel.characterize.clone();
-        cc.length = config.accel.array.vector_length;
-        let charac = cache.get_or_characterize(config.accel.kind, &cc)?;
+        let charac = cache.get_for(&config.accel)?;
         Ok(Self::with_design(config, charac))
     }
 
@@ -846,7 +923,7 @@ impl Engine {
                 .labeled_counter("engine.jobs")
                 .with(&[("outcome", "rejected"), ("reason", reason.slug())])
                 .inc();
-            this.slots.push(Slot::Decided(JobOutcome::Rejected { name, tenant, reason }));
+            this.slots.push(Some(JobOutcome::Rejected { name, tenant, reason }));
             Err(reason)
         };
 
@@ -878,13 +955,15 @@ impl Engine {
             slot,
             name: job.name,
             tenant: job.tenant,
+            submitted: job.network,
+            policy: job.policy,
             network,
             deadline_cycles: job.deadline_cycles,
         };
         if self.queue.push(admitted).is_err() {
             unreachable!("capacity checked above");
         }
-        self.slots.push(Slot::Pending);
+        self.slots.push(None);
         self.backlog_cycles = projected;
         let m = &self.telemetry.metrics;
         m.counter("engine.jobs.admitted").inc();
@@ -899,10 +978,14 @@ impl Engine {
     /// order.
     ///
     /// Scheduling (shed decisions, queue waits, completion cycles) runs
-    /// serially on the virtual batch clock; execution fans out over the
-    /// `bsc_netlist::par` pool with one [`Accelerator`] per worker, all
-    /// sharing this engine's characterization.  Results are identical at
-    /// any worker count.
+    /// serially on the virtual batch clock over the queue in submission
+    /// order.  Evaluation then runs [`Accelerator::run_network`] once per
+    /// distinct (submitted network handle, precision policy) over the
+    /// `bsc_netlist::par` pool, each evaluation under one
+    /// `engine.job.<name>` span named after the first job that needs it;
+    /// jobs repeating a pair share its report (see
+    /// [`JobReport::evaluation`]).  Results are identical at any worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -923,40 +1006,20 @@ impl Engine {
         m.gauge("engine.queue.depth").set(0);
         m.gauge("engine.backlog_cycles").set(0);
 
-        // Scheduling pass on the discrete-event clock: batch mode is the
-        // degenerate DES workload where every admitted job arrives at
-        // cycle 0 in submission order and the engine is a single shard.
-        // The `(time, priority, seq)` contract of [`crate::des::EventQueue`]
-        // delivers those arrivals FIFO, so the plan — exact per-job
-        // cycles, shed decisions, queue waits — is byte-identical to the
-        // historical serial loop, and no worker is involved: the source
-        // of worker-count independence.
+        // Planning: one serial virtual clock over the drained queue in
+        // submission order — batch mode is the degenerate serving workload
+        // where every admitted job arrives at cycle 0 on a single shard.
+        // No worker is involved, which is the source of worker-count
+        // independence.
         struct Planned {
             job: Admitted,
             start_cycle: u64,
             completion_cycle: u64,
         }
-        enum BatchEvent {
-            Arrive(Box<Admitted>),
-            Complete,
-        }
-        let mut events = crate::des::EventQueue::new();
-        for job in queued {
-            events.push(0, crate::des::PRIORITY_ARRIVAL, BatchEvent::Arrive(Box::new(job)));
-        }
-        let mut plan = Vec::with_capacity(events.len());
+        let mut plan = Vec::with_capacity(queued.len());
         let mut busy_until = 0u64;
-        while let Some((now, event)) = events.pop() {
-            let job = match event {
-                // Completions free the (single) shard; with one shard the
-                // busy-until gauge already encodes that, so they carry no
-                // payload here.  Online serving gives them real work.
-                BatchEvent::Complete => continue,
-                BatchEvent::Arrive(job) => *job,
-            };
-            let cycles = self.schedule_cycles(&job.network)?;
-            let start = busy_until.max(now);
-            let completion = start + cycles;
+        for job in queued {
+            let completion = busy_until + self.schedule_cycles(&job.network)?;
             if let Some(deadline) = job.deadline_cycles {
                 if completion > deadline {
                     let reason = ShedReason::DeadlineMissed {
@@ -967,7 +1030,7 @@ impl Engine {
                     m.labeled_counter("engine.jobs")
                         .with(&[("outcome", "shed"), ("reason", reason.slug())])
                         .inc();
-                    slots[job.slot] = Slot::Decided(JobOutcome::Shed {
+                    slots[job.slot] = Some(JobOutcome::Shed {
                         name: job.name,
                         tenant: job.tenant,
                         reason,
@@ -975,60 +1038,48 @@ impl Engine {
                     continue;
                 }
             }
-            m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES).record(start);
-            events.push(completion, crate::des::PRIORITY_COMPLETION, BatchEvent::Complete);
-            plan.push(Planned { job, start_cycle: start, completion_cycle: completion });
+            m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES).record(busy_until);
+            plan.push(Planned { job, start_cycle: busy_until, completion_cycle: completion });
             busy_until = completion;
         }
 
-        // Parallel execution: per-worker accelerators over the shared
-        // characterization, merged back by plan index.
-        let accel_cfg = self.config.accel.clone();
-        let charac = Arc::clone(&self.charac);
-        let telemetry = self.telemetry.clone();
-        let reports: Vec<Result<NetworkReport, AccelError>> = bsc_netlist::par::run_indexed_with(
-            plan.len(),
-            self.config.workers,
-            || {
-                let mut accel =
-                    Accelerator::with_shared_characterization(accel_cfg.clone(), Arc::clone(&charac));
-                accel.attach_telemetry(telemetry.clone());
-                accel
-            },
-            |accel, i| {
-                let p = &plan[i];
-                let _job_span = {
-                    let g = accel.telemetry().expect("attached").spans.begin(&format!("engine.job.{}", p.job.name));
-                    g.annotate("network", &p.job.network.name);
-                    g.annotate("start_cycle", p.start_cycle);
-                    g
-                };
-                accel.run_network(&p.job.network)
-            },
-        );
+        // Evaluation: one run_network per distinct (submitted network,
+        // precision policy), keyed by the submitted handle's address —
+        // every queued job keeps its handle alive, and a `Uniform` policy
+        // allocates a fresh network per job, so the applied network's
+        // address would never repeat.
+        let keys: Vec<_> =
+            plan.iter().map(|p| (Arc::as_ptr(&p.job.submitted), p.job.policy)).collect();
+        let (reports, index) =
+            evaluate_distinct(&keys, self.config.workers, Some(&self.telemetry), |i| Evaluation {
+                accel: &self.config.accel,
+                charac: &self.charac,
+                network: &plan[i].job.network,
+                name: &plan[i].job.name,
+            })?;
 
-        for (p, report) in plan.into_iter().zip(reports) {
-            let report = report?;
+        let mut evaluations: Vec<Option<String>> = vec![None; reports.len()];
+        for (p, k) in plan.into_iter().zip(index) {
+            let report = reports[k].clone();
             m.counter("engine.jobs.completed").inc();
             m.labeled_counter("engine.jobs").with(&[("outcome", "completed")]).inc();
             m.counter("engine.batch.macs").add(report.total_macs());
             m.counter("engine.batch.cycles").add(report.total_cycles());
-            slots[p.job.slot] = Slot::Decided(JobOutcome::Completed(JobReport {
+            let evaluation = evaluations[k].get_or_insert_with(|| p.job.name.clone()).clone();
+            slots[p.job.slot] = Some(JobOutcome::Completed(JobReport {
                 name: p.job.name,
                 tenant: p.job.tenant,
                 queue_wait_cycles: p.start_cycle,
                 completion_cycle: p.completion_cycle,
                 deadline_cycles: p.job.deadline_cycles,
                 report,
+                evaluation,
             }));
         }
 
         let outcomes: Vec<JobOutcome> = slots
             .into_iter()
-            .map(|s| match s {
-                Slot::Decided(o) => o,
-                Slot::Pending => unreachable!("every admitted job was planned or shed"),
-            })
+            .map(|s| s.expect("every admitted job was planned or shed"))
             .collect();
 
         // Serial SLO fold over the outcomes, in submission order: a pure

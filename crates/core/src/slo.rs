@@ -468,8 +468,10 @@ mod tests {
     use crate::report::NetworkReport;
 
     fn completed(tenant: &str, completion: u64, deadline: Option<u64>) -> JobOutcome {
+        let name = format!("{tenant}-{completion}");
         JobOutcome::Completed(JobReport {
-            name: format!("{tenant}-{completion}"),
+            evaluation: name.clone(),
+            name,
             tenant: TenantId::new(tenant),
             queue_wait_cycles: 0,
             completion_cycle: completion,

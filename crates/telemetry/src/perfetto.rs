@@ -30,7 +30,9 @@ const DMA_TID: u64 = 3;
 /// PE `n` renders on tid `PE_TID_BASE + n`.
 const PE_TID_BASE: u64 = 16;
 
-fn meta(j: &mut JsonBuilder, pid: u64, tid: Option<u64>, which: &str, name: &str) {
+/// Writes one metadata (`"ph":"M"`) event naming process `pid` (`which`
+/// = `"process_name"`) or its thread `tid` (`"thread_name"`).
+pub fn meta(j: &mut JsonBuilder, pid: u64, tid: Option<u64>, which: &str, name: &str) {
     j.begin_object();
     j.key("ph").string("M");
     j.key("pid").u64(pid);

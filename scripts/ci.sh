@@ -10,6 +10,11 @@ cargo build --release --offline --workspace --all-targets
 echo "==> cargo test --offline"
 cargo test -q --offline --workspace
 
+# The benchmark harness (its own Cargo workspace) consumes the serving
+# and online front ends; it must keep building and passing its tests.
+echo "==> benchmark harness: cargo test --manifest-path perfbench/Cargo.toml"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> telemetry smoke: repro --metrics-out"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
@@ -192,6 +197,8 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     serve examples/serve_manifest.json --slo-out >/dev/null 2>&1
 [ $? -eq 2 ] || { echo "missing flag value must exit 2"; exit 1; }
+cargo run --release --offline -q -p bsc-bench --bin repro -- serve >/dev/null 2>&1
+[ $? -eq 2 ] || { echo "serve without a manifest must exit 2"; exit 1; }
 set -e
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/online_report.json" "$out/online_slo.json" \

@@ -78,11 +78,10 @@ fn poisson_arrivals_match_the_golden_table() {
     }
 }
 
-/// The batched sampler ([`ArrivalGen::refill`], PR-9's hot-path reuse of
-/// the Q32 `-ln` evaluation across consecutive draws) reproduces the
-/// same golden tables at every batch split — including splits that
-/// straddle the table, proving the generator state carries across
-/// refills exactly as it does across single draws.
+/// The block sampler ([`ArrivalGen::fill`], the online loop's refill
+/// path) reproduces the same golden tables at every batch split —
+/// including splits that straddle the table, proving the generator state
+/// carries across refills exactly as it does across single draws.
 #[test]
 fn refill_reproduces_the_golden_poisson_tables_at_every_batch_split() {
     for (seed, expected) in GOLDEN_POISSON {
@@ -91,10 +90,10 @@ fn refill_reproduces_the_golden_poisson_tables_at_every_batch_split() {
                 ArrivalProcess::Poisson { mean_interarrival_cycles: GOLDEN_MEAN },
                 seed,
             );
-            let mut buf = std::collections::VecDeque::new();
-            gen.refill(split, &mut buf);
-            gen.refill(8 - split, &mut buf);
-            let got: Vec<u64> = buf.into_iter().collect();
+            let mut got = [0u64; 8];
+            let (head, tail) = got.split_at_mut(split);
+            gen.fill(head);
+            gen.fill(tail);
             assert_eq!(got, expected, "seed {seed} split {split}: refill drifted from golden");
         }
     }
@@ -166,20 +165,21 @@ fn refill_is_bit_exact_at_extreme_rates() {
                 "{name} seed {seed}: clamp contract broken (non-increasing times)"
             );
             let mut batched = ArrivalGen::new(process.clone(), seed);
-            let mut buf = std::collections::VecDeque::new();
+            let mut got = vec![0u64; golden.len()];
             // Batch sizes chosen to cross the engine's refill size (64)
             // and to exercise odd tails.
+            let mut at = 0;
             for n in [1usize, 7, 64, 128] {
-                batched.refill(n, &mut buf);
+                batched.fill(&mut got[at..at + n]);
+                at += n;
             }
-            let got: Vec<u64> = buf.into_iter().collect();
             assert_eq!(got, golden, "{name} seed {seed}: refill diverged from per-draw");
         }
     }
 }
 
 /// The lockstep sampler against its scalar reference at scale: for each
-/// process, 10^6 draws through [`ArrivalGen::refill`] at refill sizes
+/// process, 10^6 draws through [`ArrivalGen::fill`] at refill sizes
 /// straddling the 8-draw lane group and the 64-draw block must equal
 /// 10^6 [`ArrivalGen::next_arrival`] calls.
 #[test]
@@ -203,15 +203,15 @@ fn lockstep_refill_equals_a_million_scalar_draws_per_process() {
     for process in processes {
         let mut scalar = ArrivalGen::new(process.clone(), 20260808);
         let mut lockstep = ArrivalGen::new(process.clone(), 20260808);
-        let mut buf = std::collections::VecDeque::new();
+        let mut buf = [0u64; 64];
         let mut drawn = 0;
         for n in [1usize, 7, 8, 9, 63, 64].into_iter().cycle() {
             let n = n.min(DRAWS - drawn);
             if n == 0 {
                 break;
             }
-            lockstep.refill(n, &mut buf);
-            for got in buf.drain(..) {
+            lockstep.fill(&mut buf[..n]);
+            for &got in &buf[..n] {
                 let want = scalar.next_arrival();
                 assert_eq!(got, want, "{process:?}: lockstep diverged at draw {drawn}");
                 drawn += 1;

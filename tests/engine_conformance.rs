@@ -28,6 +28,9 @@ fn policies() -> [PrecisionPolicy; 4] {
 #[test]
 fn engine_matches_serial_run_network_at_any_worker_count() {
     let net: SharedNetwork = models::lenet5().into_shared();
+    // The same network behind a second allocation: equal content, but a
+    // different handle, so the engine evaluates it separately.
+    let copy: SharedNetwork = models::lenet5().into_shared();
     for kind in MacKind::ALL {
         // Serial reference: one accelerator (through the shared cache),
         // one run_network call per policy-applied network.
@@ -43,16 +46,22 @@ fn engine_matches_serial_run_network_at_any_worker_count() {
         for workers in [1, 2, 8] {
             let mut engine =
                 Engine::new(EngineConfig::quick(kind).with_workers(workers)).expect("engine");
-            let jobs = policies()
-                .iter()
-                .map(|&policy| {
-                    InferenceJob::new(format!("{kind}-{policy}"), Arc::clone(&net))
+            // Every policy twice, then the copy once: five distinct
+            // (handle, policy) keys over nine jobs.
+            let mut jobs: Vec<_> = [policies(), policies()]
+                .concat()
+                .into_iter()
+                .enumerate()
+                .map(|(i, policy)| {
+                    InferenceJob::new(format!("{kind}-{policy}-{i}"), Arc::clone(&net))
                         .with_policy(policy)
                 })
                 .collect();
+            jobs.push(InferenceJob::new(format!("{kind}-copy"), Arc::clone(&copy)));
             let batch = engine.run_jobs(jobs).expect("batch");
-            assert_eq!(batch.completed_count(), 4, "{kind} workers={workers}");
-            for (reference, job) in serial.iter().zip(batch.completed()) {
+            assert_eq!(batch.completed_count(), 9, "{kind} workers={workers}");
+            let references = serial.iter().cycle().take(8).chain(&serial[..1]);
+            for (i, (reference, job)) in references.zip(batch.completed()).enumerate() {
                 // Bit-identical per-layer numerics: cycles, MACs,
                 // utilization, energy, TOPS/W.
                 assert_eq!(
@@ -62,7 +71,15 @@ fn engine_matches_serial_run_network_at_any_worker_count() {
                     job.name
                 );
                 assert_eq!(reference.total_cycles(), job.cycles());
+                // Repeats reuse the first round's evaluation; the copy
+                // has its own.
+                let first = if i < 8 { i % 4 } else { i };
+                assert_eq!(job.evaluation, batch.completed().nth(first).unwrap().name);
             }
+            let spans = engine.telemetry().spans.snapshot();
+            let evaluations =
+                spans.spans.iter().filter(|s| s.name.starts_with("engine.job.")).count();
+            assert_eq!(evaluations, 5, "{kind} workers={workers}: one span per distinct key");
         }
     }
 }
