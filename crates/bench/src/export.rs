@@ -32,7 +32,13 @@ pub(crate) fn render_outcomes(
             Some(a) if a.attained => "SLO met".to_string(),
             Some(a) => format!(
                 "SLO MISSED (p99 {}, goodput {})",
-                if a.latency_p99_ok { "ok" } else { "over" },
+                if t.latency.count == 0 {
+                    "no data"
+                } else if a.latency_p99_ok {
+                    "ok"
+                } else {
+                    "over"
+                },
                 if a.goodput_ok { "ok" } else { "under" },
             ),
             None => "no target".to_string(),
@@ -166,4 +172,25 @@ pub(crate) fn jsonl(lines: impl IntoIterator<Item = String>) -> String {
         out.push('\n');
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bsc_accel::{SloAccountant, SloTarget, TenantId};
+    use bsc_telemetry::Registry;
+
+    #[test]
+    fn a_targeted_tenant_without_completions_renders_no_p99_data() {
+        let mut acc = SloAccountant::new(64);
+        let tenant = TenantId::new("idle");
+        acc.declare_target(tenant.clone(), SloTarget { latency_p99_cycles: 100, min_goodput: 0.0 });
+        acc.observe_rejections(&tenant, "queue_full", 3);
+        let mut out = String::new();
+        render_outcomes(&mut out, &Registry::new().snapshot(), &acc.report(), "p99");
+        assert!(
+            out.contains("SLO MISSED (p99 no data, goodput ok)"),
+            "unexpected verdict line: {out}"
+        );
+    }
 }

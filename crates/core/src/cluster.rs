@@ -32,18 +32,20 @@
 //! source × shard) pair** — results merge by pair index, so the whole
 //! [`OnlineReport`], including the folded [`SloReport`], is
 //! bit-identical at any worker count.  Latency is `completion −
-//! arrival` on the event clock; outcomes stream into the existing
-//! [`SloAccountant`], so per-tenant p99 / goodput / shed series come
-//! for free over 10⁵–10⁶ simulated jobs.
+//! arrival` on the event clock.  Each outcome is folded as it is
+//! decided, into per-pair counts, per-source latency sketches and
+//! power-of-two window counts ([`WindowCounts`]); the
+//! [`SloAccountant`] then folds those once per pair, so per-tenant p99 /
+//! goodput / shed series cost O(pairs) after 10⁶–10⁷ simulated jobs.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
 use bsc_telemetry::{
-    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, Registry, Telemetry,
+    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, QuantileSketch, Registry,
+    Telemetry,
 };
 
 use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
@@ -51,7 +53,10 @@ use crate::engine::{
     estimate_cycles_for, evaluate_distinct, schedule_cycles_for, CharacterizationCache,
     Evaluation, PrecisionPolicy, RejectReason, ShedReason,
 };
-use crate::slo::{quantize_energy_fj, window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
+use crate::slo::{
+    quantize_energy_fj, window_width_for_horizon, CompletionGroup, SloAccountant, SloReport,
+    SloTarget, TenantId,
+};
 use crate::{AccelError, AcceleratorConfig};
 
 /// One shard of the cluster: a named accelerator configuration.  Shards
@@ -331,14 +336,14 @@ struct ShardState {
 }
 
 /// Chooses the shard for one arrival.  Deterministic; ties break toward
-/// the lowest index.
+/// the lowest index.  `tenant_cycles[i]` is the execution cycles the
+/// arrival's source has consumed on shard `i`.
 fn choose_shard(
     policy: DispatchPolicy,
     now: u64,
     shards: &[ShardState],
     rr_cursor: &mut usize,
-    tenant_cycles: &BTreeMap<(usize, usize), u64>,
-    source: usize,
+    tenant_cycles: &[u64],
 ) -> usize {
     match policy {
         DispatchPolicy::RoundRobin => {
@@ -353,7 +358,7 @@ fn choose_shard(
             .map(|(i, _)| i)
             .unwrap_or(0),
         DispatchPolicy::TenantFair => (0..shards.len())
-            .min_by_key(|&i| (tenant_cycles.get(&(source, i)).copied().unwrap_or(0), i))
+            .min_by_key(|&i| (tenant_cycles[i], i))
             .unwrap_or(0),
     }
 }
@@ -366,6 +371,81 @@ struct OnlinePhases {
     admission: PhaseHandle,
     schedule: PhaseHandle,
     slo: PhaseHandle,
+}
+
+/// Fine windows per row of a [`WindowCounts`] table.  Not a knob: any
+/// cap of at least 128 keeps the fine width at or below the report's
+/// window width (see [`WindowCounts`]), and the table's memory is
+/// `rows × FINE_WINDOWS` however far completions run past the horizon.
+const FINE_WINDOWS: usize = 128;
+
+/// Per-row event counts by fine window on the virtual clock — the
+/// streaming form of the SLO fold's windowed series.
+///
+/// The fine width starts at `window_width_for_horizon(horizon)`; the
+/// report's width is `window_width_for_horizon(max(horizon, makespan))`.
+/// Both are powers of two and the function is monotone, so the report's
+/// width is `fine · 2^k` and fine window `f` lies wholly inside report
+/// window `f >> k`: the fold loses nothing.  An event that would index
+/// past the cap doubles the fine width and merges neighbouring cells,
+/// exact for the same reason (`⌊c / 2w⌋ = ⌊⌊c / w⌋ / 2⌋`).  A doubling
+/// needs an event at cycle `c ≥ FINE_WINDOWS · fine`, so the doubled
+/// width is at most `c / 64`.  Every event cycle is at most
+/// `m = max(horizon, makespan)` and the report's width is at least
+/// `⌊m / 32⌋ ≥ m / 64`: the fine width never overtakes the report's.
+struct WindowCounts {
+    /// log2 of the fine window width.
+    shift: u32,
+    /// `rows × FINE_WINDOWS` counts, row-major.
+    cells: Vec<u64>,
+}
+
+impl WindowCounts {
+    /// A zeroed table of `rows` rows at fine width `width` (a power of
+    /// two).
+    fn new(rows: usize, width: u64) -> WindowCounts {
+        debug_assert!(width.is_power_of_two());
+        WindowCounts { shift: width.trailing_zeros(), cells: vec![0; rows * FINE_WINDOWS] }
+    }
+
+    /// Counts one event of `row` at `cycle`.
+    #[inline]
+    fn add(&mut self, row: usize, cycle: u64) {
+        let mut f = cycle >> self.shift;
+        while f >= FINE_WINDOWS as u64 {
+            self.coarsen();
+            f = cycle >> self.shift;
+        }
+        self.cells[row * FINE_WINDOWS + f as usize] += 1;
+    }
+
+    /// Doubles the fine width, merging cells `2i` and `2i + 1` into `i`.
+    #[cold]
+    fn coarsen(&mut self) {
+        for row in self.cells.chunks_exact_mut(FINE_WINDOWS) {
+            for i in 0..FINE_WINDOWS / 2 {
+                row[i] = row[2 * i] + row[2 * i + 1];
+            }
+            row[FINE_WINDOWS / 2..].fill(0);
+        }
+        self.shift += 1;
+    }
+
+    /// The fine window width in cycles.
+    fn width(&self) -> u64 {
+        1 << self.shift
+    }
+
+    /// `row`'s non-empty cells as `(first cycle of the fine window,
+    /// events)`.
+    fn row(&self, row: usize) -> Vec<(u64, u64)> {
+        self.cells[row * FINE_WINDOWS..(row + 1) * FINE_WINDOWS]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(f, &n)| ((f as u64) << self.shift, n))
+            .collect()
+    }
 }
 
 /// Arrivals drawn per source refill: one lockstep sampler block.
@@ -575,6 +655,9 @@ struct ShardHandles {
 /// Reject-reason slugs by admission-ladder slot — must match
 /// [`RejectReason::slug`] for each variant.
 const REJECT_SLUGS: [&str; 3] = ["queue_full", "overloaded", "deadline_infeasible"];
+
+/// The slug of the one shed reason, [`ShedReason::DeadlineMissed`].
+const SHED_SLUG: &str = "deadline_missed";
 
 /// The event loop's metric recording backend — see [`MetricsMode`].
 enum MetricSink {
@@ -845,33 +928,36 @@ pub fn run_online_with_metrics(
         })
         .collect();
 
-    // One completed job, compactly: the NetworkReport is attached later,
-    // once per distinct (source × shard) pair.
-    struct CompletedRec {
-        source: u32,
-        shard: u32,
-        arrival: u64,
-        completion: u64,
-    }
-    let mut completed_recs: Vec<CompletedRec> = Vec::new();
     let mut rr_cursor = 0usize;
-    let mut tenant_cycles: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    // Execution cycles per (source × shard) pair, read by tenant-fair
+    // dispatch.  Pair index: `source * n_shards + shard`.
+    let n_pairs = config.sources.len() * n_shards;
+    let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
     let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
     let mut submitted = 0u64;
     let mut rejected = 0u64;
     let mut shed = 0u64;
     let mut event_log: Vec<OnlineEvent> = Vec::new();
     let mut events_truncated = 0u64;
-    // Deferred SLO observations (completion observations wait for the
-    // report phase; decision bookkeeping happens here).  Rejections
-    // carry no per-event payload the accountant keeps — no latency
-    // sample, no windowed series — so they defer as plain counts per
-    // (source × reason), allocation-free; `observe_rejections` folds
-    // each group in one call.  Sheds *do* record a windowed sample at
-    // their decision cycle, so they keep per-event records (they are
-    // rare: the deadline-missed path only).
+    // The streaming SLO fold: every outcome is counted as it is decided,
+    // allocation-free, and the accountant folds the counts once per group
+    // after the loop.  A completed job's attribution depends only on its
+    // (source × shard) pair, so completions keep a count per pair (pairs
+    // in first-completion order, the evaluation order), one latency
+    // sketch per source and per-pair window counts; rejections keep a
+    // count per (source × reason), sheds a count and window counts per
+    // source (the table's rows after the pairs).
+    let mut pair_completed: Vec<u64> = vec![0; n_pairs];
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    let mut latency: Vec<QuantileSketch> =
+        config.sources.iter().map(|_| QuantileSketch::new()).collect();
+    let mut window_counts = WindowCounts::new(
+        n_pairs + config.sources.len(),
+        window_width_for_horizon(config.horizon_cycles),
+    );
+    let mut makespan = 0u64;
     let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * REJECT_SLUGS.len()];
-    let mut deferred_sheds: Vec<(u32, &'static str, u64)> = Vec::new();
+    let mut shed_counts: Vec<u64> = vec![0; config.sources.len()];
 
     // Depth observatory: per-shard (outstanding, backlog) sampled on the
     // virtual clock at a power-of-two stride.  Boundaries are drained
@@ -973,8 +1059,7 @@ pub fn run_online_with_metrics(
             now,
             &shards,
             &mut rr_cursor,
-            &tenant_cycles,
-            source,
+            &tenant_cycles[source * n_shards..(source + 1) * n_shards],
         );
         // Admission ends at every `continue` below; the sample closes
         // when this guard drops.
@@ -1067,8 +1152,10 @@ pub fn run_online_with_metrics(
                 shed += 1;
                 shard_reports[hi].shed += 1;
                 funnel[hi].shed_deadline += 1;
+                debug_assert_eq!(reason.slug(), SHED_SLUG);
                 sink.on_shed(hi, reason.slug(), shard_name);
-                deferred_sheds.push((source as u32, reason.slug(), now));
+                shed_counts[source] += 1;
+                window_counts.add(n_pairs + source, now);
                 if event_log.len() < event_log_cap {
                     event_log.push(OnlineEvent {
                         job: format!("{}#{seq}", tmpl.name),
@@ -1096,19 +1183,21 @@ pub fn run_online_with_metrics(
         shards[hi].peak_backlog_cycles =
             shards[hi].peak_backlog_cycles.max(completion - now);
         funnel[hi].dispatched += 1;
-        *tenant_cycles.entry((source, hi)).or_default() += cycles;
+        let pair = source * n_shards + hi;
+        tenant_cycles[pair] += cycles;
         shard_reports[hi].completed += 1;
         shard_reports[hi].busy_cycles += cycles;
         shard_reports[hi].last_completion_cycle =
             shard_reports[hi].last_completion_cycle.max(completion);
         sink.on_completed(hi, shard_name, start - now);
         lanes.push(hi, completion);
-        completed_recs.push(CompletedRec {
-            source: source as u32,
-            shard: hi as u32,
-            arrival: now,
-            completion,
-        });
+        if pair_completed[pair] == 0 {
+            pairs.push((source, hi));
+        }
+        pair_completed[pair] += 1;
+        latency[source].record(completion - now);
+        window_counts.add(pair, completion);
+        makespan = makespan.max(completion);
         if event_log.len() < event_log_cap {
             event_log.push(OnlineEvent {
                 job: format!("{}#{seq}", tmpl.name),
@@ -1136,15 +1225,6 @@ pub fn run_online_with_metrics(
     // NetworkReport per distinct (source × shard) pair that completed at
     // least one job; merged by pair index, so worker count is invisible.
     let t_schedule = clock.is_some().then(Instant::now);
-    let mut pair_report: Vec<Option<usize>> = vec![None; config.sources.len() * n_shards];
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for rec in &completed_recs {
-        let slot = &mut pair_report[rec.source as usize * n_shards + rec.shard as usize];
-        if slot.is_none() {
-            *slot = Some(pairs.len());
-            pairs.push((rec.source as usize, rec.shard as usize));
-        }
-    }
     // Only shards that completed a job need their design characterized.
     let characs = (0..n_shards)
         .map(|hi| {
@@ -1166,24 +1246,20 @@ pub fn run_online_with_metrics(
         c.schedule_ns += ns_since(t);
     }
 
-    // Serial SLO fold.  Order never matters for the accountant's BTree
-    // state, but folding deferred decisions then completions keeps the
-    // walk obvious.  The window width derives from the full horizon —
-    // completions may legitimately land past the arrival horizon.
+    // Serial SLO fold, O(pairs): order never matters for the
+    // accountant's BTree state.  The window width derives from the full
+    // horizon — completions may legitimately land past the arrival
+    // horizon — and is a power-of-two multiple of the fine width the
+    // loop counted at (see `WindowCounts`).
     let t_slo = clock.is_some().then(Instant::now);
-    let makespan = completed_recs.iter().map(|r| r.completion).max().unwrap_or(0);
     let horizon = config.horizon_cycles.max(makespan);
     let mut acc = SloAccountant::new(window_width_for_horizon(horizon));
+    debug_assert!(window_counts.width() <= window_width_for_horizon(horizon));
     for s in &config.sources {
         if let Some(target) = s.template.slo {
             acc.declare_target(s.template.tenant.clone(), target);
         }
     }
-    // Rejections fold as grouped counts — observe_rejections(n) is
-    // defined as n observe_rejection calls, and rejections feed no
-    // windowed series, so grouping is exactly equivalent to the old
-    // per-event walk.  Sheds need their decision cycle and fold
-    // per event.
     for (si, counts) in reject_counts.chunks(REJECT_SLUGS.len()).enumerate() {
         let tenant = &config.sources[si].template.tenant;
         for (slot, &n) in counts.iter().enumerate() {
@@ -1192,31 +1268,46 @@ pub fn run_online_with_metrics(
             }
         }
     }
-    for &(si, slug, cycle) in &deferred_sheds {
-        acc.observe_shed(&config.sources[si as usize].template.tenant, slug, cycle);
+    for (si, &n) in shed_counts.iter().enumerate() {
+        if n > 0 {
+            acc.observe_sheds(
+                &config.sources[si].template.tenant,
+                &[(SHED_SLUG, n)],
+                &window_counts.row(n_pairs + si),
+            );
+        }
     }
-    for rec in &completed_recs {
-        let tmpl = &config.sources[rec.source as usize].template;
-        let report = &reports[pair_report[rec.source as usize * n_shards + rec.shard as usize]
-            .expect("every completed pair evaluated")];
-        acc.observe_completion(
-            &tmpl.tenant,
-            rec.completion - rec.arrival,
-            rec.completion,
-            tmpl.deadline_cycles.map(|_| true),
+    for (&(si, hi), report) in pairs.iter().zip(&reports) {
+        let tmpl = &config.sources[si].template;
+        let count = pair_completed[si * n_shards + hi];
+        // An online job that would miss its deadline is shed, so every
+        // completion with a deadline met it.
+        let deadline_jobs = if tmpl.deadline_cycles.is_some() { count } else { 0 };
+        acc.observe_completions(CompletionGroup {
+            tenant: &tmpl.tenant,
             report,
-        );
-        let sr = &mut shard_reports[rec.shard as usize];
-        sr.macs += report.total_macs();
+            count,
+            deadline_jobs,
+            deadline_met: deadline_jobs,
+            windows: &window_counts.row(si * n_shards + hi),
+        });
+        let sr = &mut shard_reports[hi];
+        sr.macs = sr.macs.wrapping_add(count.wrapping_mul(report.total_macs()));
         for layer in report.layers() {
-            sr.energy_fj += quantize_energy_fj(layer.energy_fj);
+            let fj = count.wrapping_mul(quantize_energy_fj(layer.energy_fj));
+            sr.energy_fj = sr.energy_fj.wrapping_add(fj);
+        }
+    }
+    for (s, sketch) in config.sources.iter().zip(&latency) {
+        if sketch.count() > 0 {
+            acc.observe_latencies(&s.template.tenant, sketch);
         }
     }
     for (sr, st) in shard_reports.iter_mut().zip(&shards) {
         sr.peak_outstanding = st.peak_outstanding;
         sr.peak_backlog_cycles = st.peak_backlog_cycles;
     }
-    let completed = completed_recs.len() as u64;
+    let completed: u64 = pair_completed.iter().sum();
     let slo_observations = acc.observations();
     let slo_report = acc.report();
     if let (Some(c), Some(t)) = (clock.as_mut(), t_slo) {
@@ -1328,6 +1419,7 @@ mod tests {
     use crate::des::ArrivalProcess;
     use bsc_mac::Precision;
     use bsc_nn::{Layer, LayerKind, Network};
+    use std::collections::BTreeMap;
 
     fn toy_net(name: &str, fan_in: usize, fan_out: usize, p: Precision) -> SharedNetwork {
         Network {
@@ -1640,6 +1732,106 @@ mod tests {
         assert_eq!(max.funnel, far.funnel);
         assert_eq!(max.slo, far.slo);
         assert_eq!(max.events, far.events);
+    }
+
+    /// Rebuilds every tenant's latency sketch and completed / shed window
+    /// counts from the full decision log and checks them against the
+    /// streamed SLO fold's report.
+    fn assert_slo_matches_decision_log(report: &OnlineReport) {
+        assert_eq!(report.events_truncated, 0, "the log must hold every decision");
+        let width = report.slo.window_width_cycles;
+        assert_eq!(
+            width,
+            window_width_for_horizon(report.horizon_cycles.max(report.makespan_cycles))
+        );
+        let mut latency: BTreeMap<&str, QuantileSketch> = BTreeMap::new();
+        let mut windows: BTreeMap<(&str, u64), (u64, u64)> = BTreeMap::new();
+        for e in &report.events {
+            let tenant = e.tenant.as_str();
+            match e.outcome {
+                "completed" => {
+                    latency
+                        .entry(tenant)
+                        .or_default()
+                        .record(e.completion_cycle - e.arrival_cycle);
+                    windows.entry((tenant, e.completion_cycle / width)).or_default().0 += 1;
+                }
+                "shed" => {
+                    windows.entry((tenant, e.completion_cycle / width)).or_default().1 += 1;
+                }
+                _ => {}
+            }
+        }
+        for t in &report.slo.tenants {
+            let name = t.tenant.as_str();
+            let expect = latency.get(name).map(|s| s.snapshot()).unwrap_or_default();
+            assert_eq!(t.latency, expect, "latency sketch of {name}");
+            let rebuilt: Vec<(u64, u64, u64)> = windows
+                .range((name, 0)..=(name, u64::MAX))
+                .map(|(&(_, w), &(c, s))| (w, c, s))
+                .collect();
+            let streamed: Vec<(u64, u64, u64)> =
+                t.windows.iter().map(|w| (w.window, w.completed, w.shed)).collect();
+            assert_eq!(streamed, rebuilt, "window series of {name}");
+            assert_eq!(t.windows.iter().map(|w| w.macs).sum::<u64>(), t.macs);
+        }
+    }
+
+    /// `quick_config` under deadline pressure: gold's deadline sits
+    /// between its estimate and its exact schedule (256 / 1024 cycles on
+    /// every shard), bronze runs `bronze_net` under a loose deadline, and
+    /// nothing caps the backlog — both tenants complete *and* shed, and
+    /// completions run past the arrival horizon.
+    fn shedding_config(
+        horizon_cycles: u64,
+        bronze_net: SharedNetwork,
+        bronze_deadline: u64,
+    ) -> OnlineConfig {
+        let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(2));
+        config.horizon_cycles = horizon_cycles;
+        config.max_backlog_cycles = None;
+        config.max_outstanding = 1_000;
+        config.event_log_cap = config.max_jobs as usize;
+        config.sources[0].template.network = toy_net("a", 1024, 8, Precision::Int8);
+        config.sources[0].template.deadline_cycles = Some(2_000);
+        config.sources[1].template.network = bronze_net;
+        config.sources[1].template.deadline_cycles = Some(bronze_deadline);
+        config
+    }
+
+    #[test]
+    fn streamed_slo_fold_matches_the_decision_log_past_the_horizon() {
+        // The makespan passes the horizon, so the report's windows are
+        // 2^k fine windows with k >= 1.
+        let config = shedding_config(200_000, toy_net("b", 1024, 64, Precision::Int8), 100_000);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert!(
+            report.slo.window_width_cycles > window_width_for_horizon(config.horizon_cycles),
+            "makespan {} must widen the windows",
+            report.makespan_cycles
+        );
+        for t in &report.slo.tenants {
+            assert!(t.completed > 0 && t.shed > 0, "{} must complete and shed", t.tenant);
+        }
+        assert_slo_matches_decision_log(&report);
+    }
+
+    #[test]
+    fn streamed_slo_fold_matches_the_decision_log_when_the_fine_table_compacts() {
+        // A short horizon and heavy bronze jobs: the makespan overruns
+        // the fine table, which doubles its width at least twice.
+        let config = shedding_config(20_000, toy_net("c", 2048, 256, Precision::Int8), 500_000);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let fine = window_width_for_horizon(config.horizon_cycles);
+        assert!(
+            report.makespan_cycles >= 2 * FINE_WINDOWS as u64 * fine,
+            "makespan {} must overrun the fine table twice",
+            report.makespan_cycles
+        );
+        for t in &report.slo.tenants {
+            assert!(t.completed > 0 && t.shed > 0, "{} must complete and shed", t.tenant);
+        }
+        assert_slo_matches_decision_log(&report);
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub use error::AccelError;
 pub use queue::{BoundedQueue, QueueFull};
 pub use report::{render_comparison, LayerReport, NetworkReport};
 pub use slo::{
-    SloAccountant, SloAttainment, SloReport, SloTarget, TenantId, TenantSlo, TenantWindow,
+    CompletionGroup, SloAccountant, SloAttainment, SloReport, SloTarget, TenantId, TenantSlo,
+    TenantWindow,
 };
 
 pub use bsc_mac as mac;

@@ -24,13 +24,17 @@
 //!   / shed events on the virtual clock, the time axis of the serving
 //!   dashboard.
 //!
-//! Everything here is a serial reduction over the outcome list in
-//! submission order; nothing reads wall time, so the report is
-//! bit-identical at any worker count and gated at `--tol 0` in CI.
+//! Everything here is a serial reduction; nothing reads wall time, so
+//! the report is bit-identical at any worker count and gated at
+//! `--tol 0` in CI.  Batch serving folds its outcomes one by one, each a
+//! group of one; online serving folds grouped counts
+//! ([`CompletionGroup`], [`SloAccountant::observe_sheds`],
+//! [`SloAccountant::observe_rejections`]) through the same paths.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use bsc_mac::Precision;
 use bsc_telemetry::{QuantileSketch, SketchSnapshot, WindowedAggregator};
 
 use crate::engine::JobOutcome;
@@ -218,12 +222,43 @@ struct TenantAcc {
     shed: u64,
     rejected_by_reason: BTreeMap<&'static str, u64>,
     shed_by_reason: BTreeMap<&'static str, u64>,
-    latency: Option<QuantileSketch>,
+    latency: QuantileSketch,
     deadline_jobs: u64,
     deadline_met: u64,
     macs: u64,
     energy_fj: u64,
-    energy_by_precision: BTreeMap<String, u64>,
+    energy_by_precision: BTreeMap<&'static str, u64>,
+}
+
+/// The `energy_by_precision` key of a layer precision.
+fn precision_slug(p: Precision) -> &'static str {
+    match p {
+        Precision::Int2 => "int2",
+        Precision::Int4 => "int4",
+        Precision::Int8 => "int8",
+    }
+}
+
+/// Completed jobs that share a tenant and a [`NetworkReport`], folded in
+/// one [`SloAccountant::observe_completions`] call.  Their latencies
+/// fold separately ([`SloAccountant::observe_latencies`]), since a
+/// caller may sketch them at a coarser grain than the report.
+#[derive(Debug, Clone, Copy)]
+pub struct CompletionGroup<'a> {
+    /// The tenant the jobs are accounted to.
+    pub tenant: &'a TenantId,
+    /// The per-layer report every job of the group produced.
+    pub report: &'a NetworkReport,
+    /// Jobs in the group.
+    pub count: u64,
+    /// Jobs of the group that carried a deadline.
+    pub deadline_jobs: u64,
+    /// Jobs of the group that met their deadline.
+    pub deadline_met: u64,
+    /// `(completion cycle, jobs)` placements on the window axis; the
+    /// jobs add up to `count`.  A cycle may stand for every cycle of its
+    /// window.
+    pub windows: &'a [(u64, u64)],
 }
 
 /// Folds [`JobOutcome`]s into a per-tenant [`SloReport`].
@@ -285,11 +320,12 @@ impl SloAccountant {
         }
     }
 
-    /// Streams one completed job: `latency_cycles` is whatever clock
-    /// difference the caller's arrival model defines (batch: completion
-    /// cycle; online: completion − arrival), `completion_cycle` places
-    /// the event on the window axis, and the energy/MAC attribution is
-    /// read off the job's [`NetworkReport`].
+    /// Streams one completed job: a [`CompletionGroup`] of one.
+    /// `latency_cycles` is whatever clock difference the caller's
+    /// arrival model defines (batch: completion cycle; online:
+    /// completion − arrival), `completion_cycle` places the event on the
+    /// window axis, and the energy/MAC attribution is read off the job's
+    /// [`NetworkReport`].
     pub fn observe_completion(
         &mut self,
         tenant: &TenantId,
@@ -298,32 +334,62 @@ impl SloAccountant {
         deadline_met: Option<bool>,
         report: &NetworkReport,
     ) {
-        self.observations += 1;
-        let acc = self.tenants.entry(tenant.clone()).or_default();
-        acc.submitted += 1;
-        acc.completed += 1;
-        acc.latency.get_or_insert_with(QuantileSketch::new).record(latency_cycles);
-        if let Some(met) = deadline_met {
-            acc.deadline_jobs += 1;
-            if met {
-                acc.deadline_met += 1;
-            }
-        }
-        acc.macs += report.total_macs();
+        self.tenant_acc(tenant).latency.record(latency_cycles);
+        self.observe_completions(CompletionGroup {
+            tenant,
+            report,
+            count: 1,
+            deadline_jobs: u64::from(deadline_met.is_some()),
+            deadline_met: u64::from(deadline_met == Some(true)),
+            windows: &[(completion_cycle, 1)],
+        });
+    }
+
+    /// Folds a group of completed jobs — exactly equivalent to one
+    /// [`SloAccountant::observe_completion`] per job, minus the latency
+    /// samples.  The attribution multiplies the report's per-layer
+    /// figures by `count` with the wrapping `u64` arithmetic of repeated
+    /// adds, so totals are identical however the jobs are grouped.
+    pub fn observe_completions(&mut self, group: CompletionGroup<'_>) {
+        let CompletionGroup { tenant, report, count, deadline_jobs, deadline_met, windows } = group;
+        debug_assert_eq!(windows.iter().map(|&(_, n)| n).sum::<u64>(), count);
+        self.observations += count;
+        let acc = self.tenant_acc(tenant);
+        acc.submitted += count;
+        acc.completed += count;
+        acc.deadline_jobs += deadline_jobs;
+        acc.deadline_met += deadline_met;
+        let macs = report.total_macs();
+        acc.macs = acc.macs.wrapping_add(count.wrapping_mul(macs));
         // fJ-exact attribution: quantize per layer, sum integers.
         for layer in report.layers() {
-            let fj = quantize_energy_fj(layer.energy_fj);
-            acc.energy_fj += fj;
-            *acc
-                .energy_by_precision
-                .entry(format!("int{}", layer.precision.bits()))
-                .or_default() += fj;
+            let fj = count.wrapping_mul(quantize_energy_fj(layer.energy_fj));
+            acc.energy_fj = acc.energy_fj.wrapping_add(fj);
+            let split = acc.energy_by_precision.entry(precision_slug(layer.precision)).or_default();
+            *split = split.wrapping_add(fj);
         }
-        self.windows.record(
-            completion_cycle,
-            &[("tenant", tenant.as_str()), ("outcome", "completed")],
-            report.total_macs(),
-        );
+        for &(cycle, n) in windows {
+            self.windows.record_counted(
+                cycle,
+                &[("tenant", tenant.as_str()), ("outcome", "completed")],
+                n,
+                n.wrapping_mul(macs),
+            );
+        }
+    }
+
+    /// Folds a sketch of completion latencies into the tenant's: the
+    /// latency half of [`SloAccountant::observe_completions`].
+    pub fn observe_latencies(&mut self, tenant: &TenantId, latencies: &QuantileSketch) {
+        self.tenant_acc(tenant).latency.merge_from(latencies);
+    }
+
+    /// The tenant's accumulator, created empty on first use.
+    fn tenant_acc(&mut self, tenant: &TenantId) -> &mut TenantAcc {
+        if !self.tenants.contains_key(tenant) {
+            self.tenants.insert(tenant.clone(), TenantAcc::default());
+        }
+        self.tenants.get_mut(tenant).expect("inserted above")
     }
 
     /// Streams one admission rejection under a machine-readable reason
@@ -339,7 +405,7 @@ impl SloAccountant {
     /// fold millions of decisions in a handful of calls.
     pub fn observe_rejections(&mut self, tenant: &TenantId, slug: &'static str, count: u64) {
         self.observations += count;
-        let acc = self.tenants.entry(tenant.clone()).or_default();
+        let acc = self.tenant_acc(tenant);
         acc.submitted += count;
         acc.rejected += count;
         *acc.rejected_by_reason.entry(slug).or_default() += count;
@@ -348,16 +414,36 @@ impl SloAccountant {
     /// Streams one shed decision at `decision_cycle` under a
     /// machine-readable reason slug (see [`crate::ShedReason::slug`]).
     pub fn observe_shed(&mut self, tenant: &TenantId, slug: &'static str, decision_cycle: u64) {
-        self.observations += 1;
-        let acc = self.tenants.entry(tenant.clone()).or_default();
-        acc.submitted += 1;
-        acc.shed += 1;
-        *acc.shed_by_reason.entry(slug).or_default() += 1;
-        self.windows.record(
-            decision_cycle,
-            &[("tenant", tenant.as_str()), ("outcome", "shed")],
-            0,
-        );
+        self.observe_sheds(tenant, &[(slug, 1)], &[(decision_cycle, 1)]);
+    }
+
+    /// Folds a tenant's shed decisions at once — exactly equivalent to
+    /// one [`SloAccountant::observe_shed`] per decision.  `by_reason`
+    /// counts them per reason slug; `windows` places the same decisions
+    /// as `(decision cycle, sheds)` on the window axis.
+    pub fn observe_sheds(
+        &mut self,
+        tenant: &TenantId,
+        by_reason: &[(&'static str, u64)],
+        windows: &[(u64, u64)],
+    ) {
+        let count: u64 = by_reason.iter().map(|&(_, n)| n).sum();
+        debug_assert_eq!(windows.iter().map(|&(_, n)| n).sum::<u64>(), count);
+        self.observations += count;
+        let acc = self.tenant_acc(tenant);
+        acc.submitted += count;
+        acc.shed += count;
+        for &(slug, n) in by_reason {
+            *acc.shed_by_reason.entry(slug).or_default() += n;
+        }
+        for &(cycle, n) in windows {
+            self.windows.record_counted(
+                cycle,
+                &[("tenant", tenant.as_str()), ("outcome", "shed")],
+                n,
+                0,
+            );
+        }
     }
 
     /// The finished per-tenant report.
@@ -368,15 +454,16 @@ impl SloAccountant {
             .iter()
             .filter(|(_, acc)| acc.submitted > 0)
             .map(|(tenant, acc)| {
-                let latency =
-                    acc.latency.as_ref().map(|s| s.snapshot()).unwrap_or_default();
+                let latency = acc.latency.snapshot();
                 // Goodput counts completed jobs that met their deadline
                 // (deadline-less jobs trivially meet).
                 let good = acc.completed - (acc.deadline_jobs - acc.deadline_met);
                 let goodput =
                     if acc.submitted == 0 { 0.0 } else { good as f64 / acc.submitted as f64 };
                 let attainment = acc.target.map(|t| {
-                    let latency_p99_ok = latency.p99 <= t.latency_p99_cycles;
+                    // No completion, no p99: an empty sketch's 0 is not
+                    // a latency that met the target.
+                    let latency_p99_ok = latency.count > 0 && latency.p99 <= t.latency_p99_cycles;
                     let goodput_ok = goodput >= t.min_goodput;
                     let p99_ratio = if t.latency_p99_cycles == 0 {
                         0.0
@@ -442,7 +529,7 @@ impl SloAccountant {
                     energy_by_precision: acc
                         .energy_by_precision
                         .iter()
-                        .map(|(k, v)| (k.clone(), *v))
+                        .map(|(k, v)| (k.to_string(), *v))
                         .collect(),
                     windows: windows.into_values().collect(),
                     attainment,
@@ -544,6 +631,111 @@ mod tests {
         let t = report.tenant("free").unwrap();
         assert!(t.attainment.is_none());
         assert_eq!(t.latency.p50, 10);
+    }
+
+    #[test]
+    fn a_targeted_tenant_without_completions_has_no_p99_verdict() {
+        // An empty sketch's p99 reads 0, which must not count as meeting
+        // the target: no completion, no latency evidence.
+        let mut acc = SloAccountant::new(64);
+        let target = SloTarget { latency_p99_cycles: 100, min_goodput: 0.0 };
+        acc.declare_target(TenantId::new("t"), target);
+        acc.observe(&JobOutcome::Rejected {
+            name: "r".into(),
+            tenant: TenantId::new("t"),
+            reason: RejectReason::QueueFull { capacity: 1 },
+        });
+        let report = acc.report();
+        let t = report.tenant("t").unwrap();
+        assert_eq!(t.latency.count, 0);
+        let att = t.attainment.unwrap();
+        assert!(att.goodput_ok, "goodput 0 meets a 0 minimum");
+        assert!(!att.latency_p99_ok && !att.attained);
+    }
+
+    fn layered_report() -> NetworkReport {
+        let layer = |name: &str, precision, macs, energy_fj| crate::LayerReport {
+            name: name.into(),
+            precision,
+            macs,
+            cycles: macs,
+            total_cycles: macs,
+            stall_cycles: 0,
+            roofline: bsc_systolic::Roofline::ComputeBound,
+            peak_fraction: 1.0,
+            utilization: 1.0,
+            energy_fj,
+            tops_per_w: 1.0,
+        };
+        NetworkReport::new(
+            "mixed".into(),
+            bsc_mac::MacKind::Bsc,
+            2000.0,
+            vec![
+                layer("conv", Precision::Int8, 1000, 1234.6),
+                layer("fc", Precision::Int2, 77, 99.4),
+                layer("head", Precision::Int4, 5, 0.5),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_group_of_n_folds_exactly_like_n_single_observations() {
+        let report = layered_report();
+        let tenant = TenantId::new("g");
+        let target = SloTarget { latency_p99_cycles: 300, min_goodput: 0.5 };
+        // (latency, completion cycle, deadline met) per job: two
+        // without a deadline, the rest met or missed one.
+        let jobs: Vec<(u64, u64, Option<bool>)> = (0..40u64)
+            .map(|i| {
+                let met = [None, Some(true), Some(false), None][i as usize % 4];
+                (i * 37 % 500, 90 + i * 13, met)
+            })
+            .collect();
+        let sheds = [(120u64, 2u64), (700, 1)];
+
+        let mut single = SloAccountant::new(64);
+        single.declare_target(tenant.clone(), target);
+        for &(latency, cycle, met) in &jobs {
+            single.observe_completion(&tenant, latency, cycle, met, &report);
+        }
+        for &(cycle, n) in &sheds {
+            for _ in 0..n {
+                single.observe_shed(&tenant, "deadline_missed", cycle);
+            }
+        }
+
+        let mut grouped = SloAccountant::new(64);
+        grouped.declare_target(tenant.clone(), target);
+        let mut latency = QuantileSketch::new();
+        let mut windows: BTreeMap<u64, u64> = BTreeMap::new();
+        for &(l, cycle, _) in &jobs {
+            latency.record(l);
+            // Any cycle of the window stands for it: place the group on
+            // each window's first cycle.
+            *windows.entry(cycle / 64 * 64).or_default() += 1;
+        }
+        let windows: Vec<(u64, u64)> = windows.into_iter().collect();
+        grouped.observe_completions(CompletionGroup {
+            tenant: &tenant,
+            report: &report,
+            count: jobs.len() as u64,
+            deadline_jobs: jobs.iter().filter(|j| j.2.is_some()).count() as u64,
+            deadline_met: jobs.iter().filter(|j| j.2 == Some(true)).count() as u64,
+            windows: &windows,
+        });
+        grouped.observe_latencies(&tenant, &latency);
+        grouped.observe_sheds(&tenant, &[("deadline_missed", 3)], &sheds);
+
+        assert_eq!(grouped.observations(), single.observations());
+        let (g, s) = (grouped.report(), single.report());
+        assert_eq!(g, s);
+        let row = g.tenant("g").unwrap();
+        assert_eq!(row.energy_by_precision.len(), 3, "int2, int4 and int8 layers");
+        assert_eq!(row.energy_fj, 40 * (1235 + 99 + 1));
+        assert_eq!(row.windows.iter().map(|w| w.macs).sum::<u64>(), 40 * 1082);
+        assert_eq!(row.windows.iter().map(|w| w.shed).sum::<u64>(), 3);
+        assert!(row.windows.len() > 5, "the jobs span several windows");
     }
 
     #[test]

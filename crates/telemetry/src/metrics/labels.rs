@@ -29,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use super::{Counter, Histogram, HistogramSnapshot};
@@ -216,19 +215,15 @@ fn sketch_upper(idx: usize) -> u64 {
 
 /// A fixed-bucket log-linear (HDR-style) quantile sketch over `u64`
 /// samples.  See the module docs for the bucket scheme and determinism
-/// guarantees.  Cloning shares the underlying buckets.
+/// guarantees.  A plain owned value: its one owner records into it
+/// serially, and cloning copies the buckets.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
-    inner: Arc<SketchInner>,
-}
-
-#[derive(Debug)]
-struct SketchInner {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: Box<[u64]>,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
 }
 
 impl Default for QuantileSketch {
@@ -241,54 +236,48 @@ impl QuantileSketch {
     /// An empty sketch.
     pub fn new() -> Self {
         QuantileSketch {
-            inner: Arc::new(SketchInner {
-                buckets: (0..SKETCH_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }),
+            buckets: vec![0; SKETCH_BUCKETS].into_boxed_slice(),
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
         }
     }
 
     /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let s = &*self.inner;
-        s.buckets[sketch_bucket(value)].fetch_add(1, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
-        s.min.fetch_min(value, Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
+    pub fn record(&mut self, value: u64) {
+        self.buckets[sketch_bucket(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Folds `other`'s samples into this sketch: bucket counts, count
     /// and sum add; min/max fold.  Merging is commutative and
     /// associative (each field is a sum or a lattice join), so sketches
-    /// recorded per worker can merge in any order and snapshot
+    /// recorded per source can merge in any order and snapshot
     /// identically.  `other` is unchanged.
-    pub fn merge_from(&self, other: &QuantileSketch) {
-        let s = &*self.inner;
-        let o = &*other.inner;
-        for (mine, theirs) in s.buckets.iter().zip(&o.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+    pub fn merge_from(&mut self, other: &QuantileSketch) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *mine += theirs;
         }
-        s.count.fetch_add(o.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        s.sum.fetch_add(o.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        s.min.fetch_min(o.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        s.max.fetch_max(o.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// A point-in-time copy with the quantiles dashboards read.
     pub fn snapshot(&self) -> SketchSnapshot {
-        let s = &*self.inner;
-        let count = s.count.load(Ordering::Relaxed);
-        let min = if count == 0 { 0 } else { s.min.load(Ordering::Relaxed) };
-        let max = s.max.load(Ordering::Relaxed);
+        let count = self.count;
+        let min = if count == 0 { 0 } else { self.min };
+        let max = self.max;
         let quantile = |q_num: u64, q_den: u64| -> u64 {
             if count == 0 {
                 return 0;
@@ -296,8 +285,8 @@ impl QuantileSketch {
             // rank = ceil(count * q), integer arithmetic, in 1..=count.
             let rank = (count * q_num).div_ceil(q_den).clamp(1, count);
             let mut cumulative = 0u64;
-            for (i, b) in s.buckets.iter().enumerate() {
-                cumulative += b.load(Ordering::Relaxed);
+            for (i, b) in self.buckets.iter().enumerate() {
+                cumulative += b;
                 if cumulative >= rank {
                     return sketch_upper(i).clamp(min, max);
                 }
@@ -306,7 +295,7 @@ impl QuantileSketch {
         };
         SketchSnapshot {
             count,
-            sum: s.sum.load(Ordering::Relaxed),
+            sum: self.sum,
             min,
             max,
             p50: quantile(1, 2),
@@ -377,12 +366,21 @@ impl WindowedAggregator {
 
     /// Records `value` at virtual-clock `cycle` under `labels`.
     pub fn record(&self, cycle: u64, labels: &[(&str, &str)], value: u64) {
+        self.record_counted(cycle, labels, 1, value);
+    }
+
+    /// Records `count` samples at virtual-clock `cycle` under `labels`
+    /// whose values add to `sum` — exactly `count` [`record`] calls in
+    /// one cell update.
+    ///
+    /// [`record`]: WindowedAggregator::record
+    pub fn record_counted(&self, cycle: u64, labels: &[(&str, &str)], count: u64, sum: u64) {
         let window = cycle / self.width;
         let key = (window, LabelSet::new(labels));
         let mut g = self.cells.lock().expect("window aggregator poisoned");
         let cell = g.entry(key).or_default();
-        cell.count += 1;
-        cell.sum = cell.sum.wrapping_add(value);
+        cell.count += count;
+        cell.sum = cell.sum.wrapping_add(sum);
     }
 
     /// The per-window series, sorted by `(window, labels)`.  Window
@@ -491,7 +489,7 @@ mod tests {
 
     #[test]
     fn sketch_quantiles_bracket_exact_ranks() {
-        let s = QuantileSketch::new();
+        let mut s = QuantileSketch::new();
         for v in 1..=1000u64 {
             s.record(v);
         }
@@ -508,14 +506,14 @@ mod tests {
 
     #[test]
     fn sketch_edge_cases_empty_single_and_extreme() {
-        let s = QuantileSketch::new();
+        let mut s = QuantileSketch::new();
         assert_eq!(s.snapshot(), SketchSnapshot::default());
         s.record(42);
         let one = s.snapshot();
         assert_eq!((one.p50, one.p95, one.p99), (42, 42, 42));
         assert_eq!((one.min, one.max), (42, 42));
         // u64::MAX lands in the last bucket and clamps to max.
-        let big = QuantileSketch::new();
+        let mut big = QuantileSketch::new();
         big.record(u64::MAX);
         big.record(0);
         let snap = big.snapshot();
@@ -536,7 +534,7 @@ mod tests {
         assert_eq!(sketch_upper(SKETCH_BUCKETS + 64 * 16), u64::MAX);
         // Recording the two largest representable values keeps every
         // quantile at the top instead of wrapping.
-        let s = QuantileSketch::new();
+        let mut s = QuantileSketch::new();
         s.record(u64::MAX);
         s.record(u64::MAX - 1);
         let snap = s.snapshot();
@@ -559,7 +557,7 @@ mod tests {
             assert_eq!(sketch_upper(b - 1), v - 1, "bucket below 2^{k} ends at 2^{k}-1");
             // A sketch holding only the boundary reports it exactly
             // (upper bound clamped to [min, max]).
-            let s = QuantileSketch::new();
+            let mut s = QuantileSketch::new();
             s.record(v);
             assert_eq!(s.snapshot().p99, v, "2^{k} round-trips");
         }
@@ -567,8 +565,8 @@ mod tests {
 
     #[test]
     fn sketches_are_order_independent() {
-        let forward = QuantileSketch::new();
-        let reverse = QuantileSketch::new();
+        let mut forward = QuantileSketch::new();
+        let mut reverse = QuantileSketch::new();
         for v in 0..500u64 {
             forward.record(v * 17 % 499);
             reverse.record((499 - v) * 17 % 499);
@@ -580,18 +578,18 @@ mod tests {
     fn sketch_merge_is_commutative_and_matches_single_recording() {
         // Per-worker sketches merged in either order snapshot identically
         // to one sketch that saw every sample.
-        let whole = QuantileSketch::new();
-        let left = QuantileSketch::new();
-        let right = QuantileSketch::new();
+        let mut whole = QuantileSketch::new();
+        let mut left = QuantileSketch::new();
+        let mut right = QuantileSketch::new();
         for v in 0..400u64 {
             let sample = v * 131 % 4099;
             whole.record(sample);
             if v % 2 == 0 { left.record(sample) } else { right.record(sample) }
         }
-        let ab = QuantileSketch::new();
+        let mut ab = QuantileSketch::new();
         ab.merge_from(&left);
         ab.merge_from(&right);
-        let ba = QuantileSketch::new();
+        let mut ba = QuantileSketch::new();
         ba.merge_from(&right);
         ba.merge_from(&left);
         assert_eq!(ab.snapshot(), ba.snapshot(), "merge must be commutative");
@@ -600,7 +598,7 @@ mod tests {
 
     #[test]
     fn sketch_merge_with_an_empty_side_is_the_identity() {
-        let s = QuantileSketch::new();
+        let mut s = QuantileSketch::new();
         s.record(7);
         s.record(10_000);
         let before = s.snapshot();
@@ -609,11 +607,11 @@ mod tests {
         s.merge_from(&QuantileSketch::new());
         assert_eq!(s.snapshot(), before);
         // Populated into empty: the copy snapshots identically.
-        let fresh = QuantileSketch::new();
+        let mut fresh = QuantileSketch::new();
         fresh.merge_from(&s);
         assert_eq!(fresh.snapshot(), before);
         // Empty into empty stays the default snapshot.
-        let none = QuantileSketch::new();
+        let mut none = QuantileSketch::new();
         none.merge_from(&QuantileSketch::new());
         assert_eq!(none.snapshot(), SketchSnapshot::default());
     }
@@ -682,5 +680,17 @@ mod tests {
         );
         // Zero width clamps to 1 instead of dividing by zero.
         assert_eq!(WindowedAggregator::new(0).width_cycles(), 1);
+    }
+
+    #[test]
+    fn a_counted_record_equals_repeated_records() {
+        let one_by_one = WindowedAggregator::new(100);
+        for _ in 0..3 {
+            one_by_one.record(150, &[("tenant", "a")], u64::MAX);
+        }
+        let counted = WindowedAggregator::new(100);
+        counted.record_counted(199, &[("tenant", "a")], 3, 3u64.wrapping_mul(u64::MAX));
+        assert_eq!(counted.snapshot(), one_by_one.snapshot());
+        assert_eq!(counted.snapshot()[0].2, WindowCell { count: 3, sum: u64::MAX - 2 });
     }
 }

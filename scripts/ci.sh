@@ -188,6 +188,23 @@ for w in 2 8; do
     cmp "$out/online_report.json" "$out/online_report_w$w.json"
 done
 echo "online report byte-identical at 1, 2 and 8 workers"
+# The online SLO export (latency sketches, fJ attribution, windowed
+# completed/shed series) comes out of the streaming SLO fold; it is a
+# pure function of the manifest, gated at zero tolerance on the example
+# manifest and on the benchmark's steady-state manifest, whose SLO
+# export must also be byte-identical at 1, 2 and 8 workers.
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    diff BENCH_online_slo_baseline.json "$out/online_slo.json" --tol 0
+for w in 1 2 8; do
+    cargo run --release --offline -q -p bsc-bench --bin repro -- \
+        online perfbench/inputs/online_steady.json --workers "$w" \
+        --slo-out "$out/online_steady_slo_w$w.json" >/dev/null
+done
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    diff BENCH_online_steady_slo_baseline.json "$out/online_steady_slo_w1.json" --tol 0
+cmp "$out/online_steady_slo_w1.json" "$out/online_steady_slo_w2.json"
+cmp "$out/online_steady_slo_w1.json" "$out/online_steady_slo_w8.json"
+echo "online SLO exports match their baselines; steady SLO byte-identical at 1, 2 and 8 workers"
 # Strict flag parsing: unknown flags and missing values are usage
 # errors (exit 2), not silently ignored.
 set +e
