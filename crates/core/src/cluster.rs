@@ -37,21 +37,22 @@
 //! power-of-two window counts ([`WindowCounts`]); the
 //! [`SloAccountant`] then folds those once per pair, so per-tenant p99 /
 //! goodput / shed series cost O(pairs) after 10⁶–10⁷ simulated jobs.
+//! Each outcome is also counted once in its shard's [`ShardFunnel`]; the
+//! [`ShardReport`] tallies, the aggregate counts and the `engine.jobs`
+//! metrics derive from the funnels after the loop, which never touches
+//! the metrics registry: it is written once, at the end of the run.
 
 use std::time::Instant;
 
 use bsc_mac::MacKind;
 use bsc_nn::SharedNetwork;
 use bsc_telemetry::profile::{PhaseHandle, Profiler};
-use bsc_telemetry::{
-    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, QuantileSketch, Registry,
-    Telemetry,
-};
+use bsc_telemetry::{HistogramSnapshot, QuantileSketch, Registry, Telemetry};
 
 use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
 use crate::engine::{
     estimate_cycles_for, evaluate_distinct, schedule_cycles_for, CharacterizationCache,
-    Evaluation, PrecisionPolicy, RejectReason, ShedReason,
+    Evaluation, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES,
 };
 use crate::slo::{
     quantize_energy_fj, window_width_for_horizon, CompletionGroup, SloAccountant, SloReport,
@@ -253,6 +254,13 @@ pub struct ShardFunnel {
     pub shed_deadline: u64,
     /// Dispatched onto the shard.
     pub dispatched: u64,
+}
+
+impl ShardFunnel {
+    /// Arrivals stopped by any admission rung.
+    pub(crate) fn rejected(&self) -> u64 {
+        self.queue_full + self.overloaded + self.deadline_infeasible
+    }
 }
 
 /// One virtual-clock depth sample of one shard.
@@ -622,152 +630,47 @@ impl PhaseClock {
     }
 }
 
-/// How [`run_online_with_metrics`] records per-job metrics.
-///
-/// The two modes produce **byte-identical** metrics snapshots, reports
-/// and SLO documents — `tests/metrics_equivalence.rs` pins this across
-/// policies, arrival processes and worker counts.  [`MetricsMode::Batched`]
-/// is what [`run_online`] uses; the shadow mode exists so the
-/// equivalence stays testable, not for production use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricsMode {
-    /// Tally per-job counters into a lock-free [`LocalMetrics`]
-    /// accumulator (label handles interned once per shard up front) and
-    /// flush into the registry exactly once at end of run.  The hot
-    /// path takes no `Mutex` and performs no allocation.
-    Batched,
-    /// The legacy per-event path: one registry operation per counter
-    /// update, resolving names and label sets on every event.  Kept as
-    /// the differential-testing reference.
-    PerEventShadow,
-}
-
-/// Pre-interned [`LocalMetrics`] handles for one shard's labeled
-/// outcome points.
-struct ShardHandles {
-    completed: LocalLabeledCounter,
-    shed_deadline: LocalLabeledCounter,
-    /// Indexed by reject slot: 0 = `queue_full`, 1 = `overloaded`,
-    /// 2 = `deadline_infeasible` (the [`REJECT_SLUGS`] order).
-    rejected: [LocalLabeledCounter; 3],
-}
-
-/// Reject-reason slugs by admission-ladder slot — must match
-/// [`RejectReason::slug`] for each variant.
+/// Reject-reason slugs by admission-ladder slot: 0 = `queue_full`,
+/// 1 = `overloaded`, 2 = `deadline_infeasible`.  Must match
+/// [`crate::engine::RejectReason::slug`] for each variant.
 const REJECT_SLUGS: [&str; 3] = ["queue_full", "overloaded", "deadline_infeasible"];
 
-/// The slug of the one shed reason, [`ShedReason::DeadlineMissed`].
+/// The slug of the one shed reason,
+/// [`crate::engine::ShedReason::DeadlineMissed`].
 const SHED_SLUG: &str = "deadline_missed";
 
-/// The event loop's metric recording backend — see [`MetricsMode`].
-enum MetricSink {
-    Batched {
-        local: LocalMetrics,
-        submitted: LocalCounter,
-        rejected: LocalCounter,
-        shed: LocalCounter,
-        completed: LocalCounter,
-        wait: LocalHistogram,
-        shards: Vec<ShardHandles>,
-    },
-    Shadow(Registry),
-}
-
-impl MetricSink {
-    /// Interns every counter, labeled point and histogram the loop can
-    /// touch — names and label sets are resolved here, once per shard,
-    /// never on the hot path.  Points that never fire are skipped at
-    /// flush time, so eager interning cannot register spurious metrics.
-    fn batched(config: &OnlineConfig) -> MetricSink {
-        let mut local = LocalMetrics::new();
-        let submitted = local.counter("engine.jobs.submitted");
-        let rejected = local.counter("engine.jobs.rejected");
-        let shed = local.counter("engine.jobs.shed");
-        let completed = local.counter("engine.jobs.completed");
-        let wait = local
-            .histogram("engine.queue.wait_cycles", crate::engine::QUEUE_WAIT_BOUNDS_CYCLES);
-        let shards: Vec<ShardHandles> = config
-            .shards
-            .iter()
-            .map(|s| {
-                let n = s.name.as_str();
-                ShardHandles {
-                    completed: local
-                        .labeled_counter("engine.jobs", &[("outcome", "completed"), ("shard", n)]),
-                    shed_deadline: local.labeled_counter(
-                        "engine.jobs",
-                        &[("outcome", "shed"), ("reason", "deadline_missed"), ("shard", n)],
-                    ),
-                    rejected: REJECT_SLUGS.map(|slug| {
-                        local.labeled_counter(
-                            "engine.jobs",
-                            &[("outcome", "rejected"), ("reason", slug), ("shard", n)],
-                        )
-                    }),
-                }
-            })
-            .collect();
-        MetricSink::Batched { local, submitted, rejected, shed, completed, wait, shards }
-    }
-
-    #[inline]
-    fn on_submitted(&mut self) {
-        match self {
-            MetricSink::Batched { local, submitted, .. } => local.inc(*submitted),
-            MetricSink::Shadow(m) => m.counter("engine.jobs.submitted").inc(),
+/// Writes one run's outcome metrics into `m`, once, from the funnels:
+/// the flat `engine.jobs.*` counters, one `engine.jobs{outcome,reason,
+/// shard}` point per funnel count and the queue-wait histogram.  Zero
+/// counts are not written — the registry registers a metric on first
+/// touch, so a metric no job reached stays out of the snapshot.
+fn write_outcome_metrics(m: &Registry, funnel: &[ShardFunnel], wait: &HistogramSnapshot) {
+    let add = |name: &str, n: u64| {
+        if n > 0 {
+            m.counter(name).add(n);
         }
-    }
-
-    #[inline]
-    fn on_rejected(&mut self, hi: usize, slot: usize, slug: &'static str, shard_name: &str) {
-        debug_assert_eq!(REJECT_SLUGS[slot], slug);
-        match self {
-            MetricSink::Batched { local, rejected, shards, .. } => {
-                local.inc(*rejected);
-                local.inc_labeled(shards[hi].rejected[slot]);
+    };
+    let total = |count: fn(&ShardFunnel) -> u64| funnel.iter().map(count).sum::<u64>();
+    add("engine.jobs.submitted", total(|f| f.offered));
+    add("engine.jobs.rejected", total(ShardFunnel::rejected));
+    add("engine.jobs.shed", total(|f| f.shed_deadline));
+    add("engine.jobs.completed", total(|f| f.dispatched));
+    for f in funnel {
+        let point = |labels: &[(&str, &str)], n: u64| {
+            if n > 0 {
+                m.labeled_counter("engine.jobs").with(labels).add(n);
             }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.rejected").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "rejected"), ("reason", slug), ("shard", shard_name)])
-                    .inc();
-            }
+        };
+        let shard = ("shard", f.shard.as_str());
+        point(&[("outcome", "completed"), shard], f.dispatched);
+        let rejections = [f.queue_full, f.overloaded, f.deadline_infeasible];
+        for (slug, n) in REJECT_SLUGS.into_iter().zip(rejections) {
+            point(&[("outcome", "rejected"), ("reason", slug), shard], n);
         }
+        point(&[("outcome", "shed"), ("reason", SHED_SLUG), shard], f.shed_deadline);
     }
-
-    #[inline]
-    fn on_shed(&mut self, hi: usize, slug: &'static str, shard_name: &str) {
-        match self {
-            MetricSink::Batched { local, shed, shards, .. } => {
-                local.inc(*shed);
-                local.inc_labeled(shards[hi].shed_deadline);
-            }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.shed").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "shed"), ("reason", slug), ("shard", shard_name)])
-                    .inc();
-            }
-        }
-    }
-
-    #[inline]
-    fn on_completed(&mut self, hi: usize, shard_name: &str, wait_cycles: u64) {
-        match self {
-            MetricSink::Batched { local, completed, wait, shards, .. } => {
-                local.inc(*completed);
-                local.inc_labeled(shards[hi].completed);
-                local.record(*wait, wait_cycles);
-            }
-            MetricSink::Shadow(m) => {
-                m.counter("engine.jobs.completed").inc();
-                m.labeled_counter("engine.jobs")
-                    .with(&[("outcome", "completed"), ("shard", shard_name)])
-                    .inc();
-                m.histogram("engine.queue.wait_cycles", crate::engine::QUEUE_WAIT_BOUNDS_CYCLES)
-                    .record(wait_cycles);
-            }
-        }
+    if wait.count > 0 {
+        m.histogram("engine.queue.wait_cycles", &wait.bounds).merge(wait);
     }
 }
 
@@ -776,7 +679,7 @@ impl MetricSink {
 ///
 /// The returned report and the metrics recorded into `telemetry` are a
 /// pure function of `config` — bit-identical at any worker count and on
-/// every platform.
+/// every platform.  The metrics are written once, after the event loop.
 ///
 /// # Errors
 ///
@@ -808,23 +711,6 @@ pub fn run_online_profiled(
     config: &OnlineConfig,
     telemetry: &Telemetry,
     profiler: Option<&Profiler>,
-) -> Result<OnlineReport, AccelError> {
-    run_online_with_metrics(config, telemetry, profiler, MetricsMode::Batched)
-}
-
-/// [`run_online_profiled`] with an explicit [`MetricsMode`].  Production
-/// callers never need this — [`MetricsMode::Batched`] is the default and
-/// the two modes are byte-equivalent; it exists so the differential
-/// test harness can drive the legacy per-event path side by side.
-///
-/// # Errors
-///
-/// Same contract as [`run_online`].
-pub fn run_online_with_metrics(
-    config: &OnlineConfig,
-    telemetry: &Telemetry,
-    profiler: Option<&Profiler>,
-    mode: MetricsMode,
 ) -> Result<OnlineReport, AccelError> {
     if config.shards.is_empty() {
         return Err(AccelError::Config("online cluster needs at least one shard".into()));
@@ -910,23 +796,6 @@ pub fn run_online_with_metrics(
             peak_backlog_cycles: 0,
         })
         .collect();
-    let mut shard_reports: Vec<ShardReport> = config
-        .shards
-        .iter()
-        .map(|s| ShardReport {
-            name: s.name.clone(),
-            kind: s.accel.kind,
-            completed: 0,
-            rejected: 0,
-            shed: 0,
-            busy_cycles: 0,
-            last_completion_cycle: 0,
-            peak_outstanding: 0,
-            peak_backlog_cycles: 0,
-            macs: 0,
-            energy_fj: 0,
-        })
-        .collect();
 
     let mut rr_cursor = 0usize;
     // Execution cycles per (source × shard) pair, read by tenant-fair
@@ -935,8 +804,6 @@ pub fn run_online_with_metrics(
     let mut tenant_cycles: Vec<u64> = vec![0; n_pairs];
     let mut per_source_seq: Vec<u64> = vec![0; config.sources.len()];
     let mut submitted = 0u64;
-    let mut rejected = 0u64;
-    let mut shed = 0u64;
     let mut event_log: Vec<OnlineEvent> = Vec::new();
     let mut events_truncated = 0u64;
     // The streaming SLO fold: every outcome is counted as it is decided,
@@ -955,9 +822,11 @@ pub fn run_online_with_metrics(
         n_pairs + config.sources.len(),
         window_width_for_horizon(config.horizon_cycles),
     );
-    let mut makespan = 0u64;
     let mut reject_counts: Vec<u64> = vec![0; config.sources.len() * REJECT_SLUGS.len()];
     let mut shed_counts: Vec<u64> = vec![0; config.sources.len()];
+    // Queue waits (`start − arrival`) of completed jobs, in a plain
+    // accumulator merged into the registry histogram once.
+    let mut wait = HistogramSnapshot::with_bounds(QUEUE_WAIT_BOUNDS_CYCLES);
 
     // Depth observatory: per-shard (outstanding, backlog) sampled on the
     // virtual clock at a power-of-two stride.  Boundaries are drained
@@ -979,10 +848,6 @@ pub fn run_online_with_metrics(
         .collect();
 
     let event_log_cap = config.event_log_cap;
-    let mut sink = match mode {
-        MetricsMode::Batched => MetricSink::batched(config),
-        MetricsMode::PerEventShadow => MetricSink::Shadow(m.clone()),
-    };
     let mut burst: Vec<usize> = Vec::with_capacity(n_shards.max(4));
     let mut completion_bursts = 0u64;
     const SAMPLE_MASK: u64 = (1 << PHASE_SAMPLE_LOG2) - 1;
@@ -1009,7 +874,9 @@ pub fn run_online_with_metrics(
                     backlog_cycles: s.busy_until.saturating_sub(next_sample),
                 });
             }
-            next_sample += stride;
+            // Saturating: past the last stride multiple below `u64::MAX`
+            // the boundary pins there and the drain ends.
+            next_sample = next_sample.saturating_add(stride);
         }
         if is_completion {
             // One lane scan pops every completion due this cycle — a
@@ -1051,7 +918,6 @@ pub fn run_online_with_metrics(
         per_source_seq[source] += 1;
         let sampled = clock.is_some() && (submitted & SAMPLE_MASK) == 0;
         submitted += 1;
-        sink.on_submitted();
 
         let t_dispatch = sampled.then(Instant::now);
         let hi = choose_shard(
@@ -1061,151 +927,81 @@ pub fn run_online_with_metrics(
             &mut rr_cursor,
             &tenant_cycles[source * n_shards..(source + 1) * n_shards],
         );
-        // Admission ends at every `continue` below; the sample closes
-        // when this guard drops.
+        // Admission ends with this iteration; the sample closes when
+        // this guard drops.
         let _sample = t_dispatch.zip(clock.as_mut()).map(|(t0, clock)| SampledArrival {
             clock,
             t0,
             t1: Instant::now(),
         });
-        let shard_name = config.shards[hi].name.as_str();
+        let pair = source * n_shards + hi;
         let backlog = shards[hi].busy_until.saturating_sub(now);
         shards[hi].peak_backlog_cycles = shards[hi].peak_backlog_cycles.max(backlog);
-        funnel[hi].offered += 1;
-        let est = estimate[source * n_shards + hi];
+        let f = &mut funnel[hi];
+        f.offered += 1;
 
-        let reject_reason = if shards[hi].outstanding >= config.max_outstanding {
-            Some(RejectReason::QueueFull {
-                capacity: config.max_outstanding as usize,
-            })
-        } else if config
-            .max_backlog_cycles
-            .is_some_and(|limit| backlog > limit)
-        {
-            Some(RejectReason::Overloaded {
-                backlog_cycles: backlog,
-                limit_cycles: config.max_backlog_cycles.unwrap_or(0),
-            })
+        // The admission ladder counts the rung that stops the job and
+        // yields its reject slot (the `REJECT_SLUGS` order).
+        let reject = if shards[hi].outstanding >= config.max_outstanding {
+            f.queue_full += 1;
+            Some(0)
+        } else if config.max_backlog_cycles.is_some_and(|limit| backlog > limit) {
+            f.overloaded += 1;
+            Some(1)
         } else if tmpl
             .deadline_cycles
-            .is_some_and(|d| backlog + est > d)
+            .is_some_and(|d| backlog.saturating_add(estimate[pair]) > d)
         {
-            Some(RejectReason::DeadlineInfeasible {
-                projected_cycles: backlog + est,
-                deadline_cycles: tmpl.deadline_cycles.unwrap_or(0),
-            })
+            f.deadline_infeasible += 1;
+            Some(2)
         } else {
             None
         };
-        if let Some(reason) = reject_reason {
-            rejected += 1;
-            shard_reports[hi].rejected += 1;
-            let slot = match reason {
-                RejectReason::QueueFull { .. } => {
-                    funnel[hi].queue_full += 1;
-                    0
-                }
-                RejectReason::Overloaded { .. } => {
-                    funnel[hi].overloaded += 1;
-                    1
-                }
-                _ => {
-                    funnel[hi].deadline_infeasible += 1;
-                    2
-                }
-            };
-            sink.on_rejected(hi, slot, reason.slug(), shard_name);
+        let (outcome, reason, start, completion) = if let Some(slot) = reject {
             reject_counts[source * REJECT_SLUGS.len() + slot] += 1;
-            // The log caps out within the first 10⁴ decisions of
-            // a multi-million-job run; skip the record (and its
-            // string formatting) entirely once it is full.
-            if event_log.len() < event_log_cap {
-                event_log.push(OnlineEvent {
-                    job: format!("{}#{seq}", tmpl.name),
-                    template: tmpl.name.clone(),
-                    tenant: tmpl.tenant.clone(),
-                    shard: shard_name.to_string(),
-                    outcome: "rejected",
-                    reason: Some(reason.slug()),
-                    arrival_cycle: now,
-                    start_cycle: now,
-                    completion_cycle: now,
-                });
-            } else {
-                events_truncated += 1;
-            }
-            continue;
-        }
-
-        let cycles = exact[source * n_shards + hi];
-        let start = shards[hi].busy_until.max(now);
-        let completion = start + cycles;
-        if let Some(d) = tmpl.deadline_cycles {
-            // Saturating: a relative deadline near `u64::MAX` means "no
-            // deadline in practice", not a wrapped one in the past.
-            let deadline = now.saturating_add(d);
-            if completion > deadline {
-                let reason = ShedReason::DeadlineMissed {
-                    completion_cycle: completion,
-                    deadline_cycles: deadline,
-                };
-                shed += 1;
-                shard_reports[hi].shed += 1;
-                funnel[hi].shed_deadline += 1;
-                debug_assert_eq!(reason.slug(), SHED_SLUG);
-                sink.on_shed(hi, reason.slug(), shard_name);
+            ("rejected", Some(REJECT_SLUGS[slot]), now, now)
+        } else {
+            let cycles = exact[pair];
+            let start = shards[hi].busy_until.max(now);
+            // Both adds saturate: a completion or absolute deadline past
+            // `u64::MAX` pins there instead of wrapping into the past.
+            let completion = start.saturating_add(cycles);
+            if tmpl.deadline_cycles.is_some_and(|d| completion > now.saturating_add(d)) {
+                f.shed_deadline += 1;
                 shed_counts[source] += 1;
                 window_counts.add(n_pairs + source, now);
-                if event_log.len() < event_log_cap {
-                    event_log.push(OnlineEvent {
-                        job: format!("{}#{seq}", tmpl.name),
-                        template: tmpl.name.clone(),
-                        tenant: tmpl.tenant.clone(),
-                        shard: shard_name.to_string(),
-                        outcome: "shed",
-                        reason: Some(reason.slug()),
-                        arrival_cycle: now,
-                        start_cycle: now,
-                        completion_cycle: now,
-                    });
-                } else {
-                    events_truncated += 1;
+                ("shed", Some(SHED_SLUG), now, now)
+            } else {
+                // Dispatch.
+                let st = &mut shards[hi];
+                st.busy_until = completion;
+                st.outstanding += 1;
+                st.peak_outstanding = st.peak_outstanding.max(st.outstanding);
+                st.peak_backlog_cycles = st.peak_backlog_cycles.max(completion - now);
+                f.dispatched += 1;
+                tenant_cycles[pair] += cycles;
+                wait.record(start - now);
+                lanes.push(hi, completion);
+                if pair_completed[pair] == 0 {
+                    pairs.push((source, hi));
                 }
-                continue;
+                pair_completed[pair] += 1;
+                latency[source].record(completion - now);
+                window_counts.add(pair, completion);
+                ("completed", None, start, completion)
             }
-        }
-
-        // Dispatch.
-        shards[hi].busy_until = completion;
-        shards[hi].outstanding += 1;
-        shards[hi].peak_outstanding =
-            shards[hi].peak_outstanding.max(shards[hi].outstanding);
-        shards[hi].peak_backlog_cycles =
-            shards[hi].peak_backlog_cycles.max(completion - now);
-        funnel[hi].dispatched += 1;
-        let pair = source * n_shards + hi;
-        tenant_cycles[pair] += cycles;
-        shard_reports[hi].completed += 1;
-        shard_reports[hi].busy_cycles += cycles;
-        shard_reports[hi].last_completion_cycle =
-            shard_reports[hi].last_completion_cycle.max(completion);
-        sink.on_completed(hi, shard_name, start - now);
-        lanes.push(hi, completion);
-        if pair_completed[pair] == 0 {
-            pairs.push((source, hi));
-        }
-        pair_completed[pair] += 1;
-        latency[source].record(completion - now);
-        window_counts.add(pair, completion);
-        makespan = makespan.max(completion);
+        };
+        // The log caps out within the first 10⁴ decisions of a
+        // multi-million-job run; skip the record (and its string
+        // formatting) entirely once it is full.
         if event_log.len() < event_log_cap {
             event_log.push(OnlineEvent {
                 job: format!("{}#{seq}", tmpl.name),
                 template: tmpl.name.clone(),
                 tenant: tmpl.tenant.clone(),
-                shard: shard_name.to_string(),
-                outcome: "completed",
-                reason: None,
+                shard: config.shards[hi].name.clone(),
+                outcome,
+                reason,
                 arrival_cycle: now,
                 start_cycle: start,
                 completion_cycle: completion,
@@ -1217,6 +1013,7 @@ pub fn run_online_with_metrics(
     if let Some(c) = clock.as_mut() {
         c.loop_ns = c.loop_start.map_or(0, ns_since);
     }
+    write_outcome_metrics(m, &funnel, &wait);
     // The drop count is also a counter, so a truncated decision log is
     // visible in every metrics export, not just in the report.
     m.counter("engine.decision_log.truncated").add(events_truncated);
@@ -1245,6 +1042,32 @@ pub fn run_online_with_metrics(
     if let (Some(c), Some(t)) = (clock.as_mut(), t_schedule) {
         c.schedule_ns += ns_since(t);
     }
+
+    // Shard tallies from the funnel and the dispatch state.  A shard's
+    // busy-until clock only moves forward, to each dispatch's completion,
+    // so its final value is the shard's last completion and the largest
+    // is the makespan.
+    let makespan = shards.iter().map(|s| s.busy_until).max().unwrap_or(0);
+    let mut shard_reports: Vec<ShardReport> = config
+        .shards
+        .iter()
+        .zip(&shards)
+        .zip(&funnel)
+        .enumerate()
+        .map(|(hi, ((spec, st), f))| ShardReport {
+            name: spec.name.clone(),
+            kind: spec.accel.kind,
+            completed: f.dispatched,
+            rejected: f.rejected(),
+            shed: f.shed_deadline,
+            busy_cycles: tenant_cycles[hi..].iter().step_by(n_shards).sum(),
+            last_completion_cycle: st.busy_until,
+            peak_outstanding: st.peak_outstanding,
+            peak_backlog_cycles: st.peak_backlog_cycles,
+            macs: 0,
+            energy_fj: 0,
+        })
+        .collect();
 
     // Serial SLO fold, O(pairs): order never matters for the
     // accountant's BTree state.  The window width derives from the full
@@ -1303,32 +1126,15 @@ pub fn run_online_with_metrics(
             acc.observe_latencies(&s.template.tenant, sketch);
         }
     }
-    for (sr, st) in shard_reports.iter_mut().zip(&shards) {
-        sr.peak_outstanding = st.peak_outstanding;
-        sr.peak_backlog_cycles = st.peak_backlog_cycles;
-    }
     let completed: u64 = pair_completed.iter().sum();
+    let rejected: u64 = shard_reports.iter().map(|s| s.rejected).sum();
+    let shed: u64 = shard_reports.iter().map(|s| s.shed).sum();
     let slo_observations = acc.observations();
     let slo_report = acc.report();
     if let (Some(c), Some(t)) = (clock.as_mut(), t_slo) {
         c.slo_ns += ns_since(t);
     }
     m.gauge("engine.online.makespan_cycles").set(makespan.min(i64::MAX as u64) as i64);
-
-    // Flush the batched per-job metrics into the registry exactly once.
-    // The profiler's `metric_increments` is *derived from the flush* —
-    // the accumulator counted every update as it happened — instead of a
-    // hand-maintained per-outcome formula that could drift from the real
-    // increment count.  The shadow mode already hit the registry per
-    // event, so it reports the classic formula (pinned equal to the
-    // derivation by a unit test).
-    let metric_increments = match &sink {
-        MetricSink::Batched { local, .. } => {
-            local.flush_into(m);
-            local.increments()
-        }
-        MetricSink::Shadow(_) => submitted + 2 * (rejected + shed) + 3 * completed,
-    };
 
     // Flush the deterministic work tallies into the profiler.  Every
     // value below is a pure function of `config` (the parallel report
@@ -1377,11 +1183,13 @@ pub fn run_online_with_metrics(
             _ => 0,
         };
         ph.admission.add("tenant_map_touches", completed + tf_reads);
-        // Metric updates per arrival, as counted by the accumulator
-        // itself: one `submitted` increment, two per rejection/shed
-        // (plain + labeled), three per completion (plain + labeled +
-        // wait histogram).
-        ph.admission.add("metric_increments", metric_increments);
+        // The per-job metric updates the outcomes stand for: one
+        // `submitted` count per arrival, two per rejection or shed (flat
+        // counter + labeled point), three per completion (flat counter +
+        // labeled point + wait record).  The registry itself is written
+        // once, after the loop.
+        ph.admission
+            .add("metric_increments", submitted + 2 * (rejected + shed) + 3 * completed);
         ph.admission.add("log_appends", event_log.len() as u64);
         ph.admission.add("log_dropped", events_truncated);
 
@@ -1732,6 +1540,39 @@ mod tests {
         assert_eq!(max.funnel, far.funnel);
         assert_eq!(max.slo, far.slo);
         assert_eq!(max.events, far.events);
+    }
+
+    #[test]
+    fn cycle_arithmetic_near_u64_max_saturates() {
+        // Arrivals with a mean gap of 2^63 cycles saturate at `u64::MAX`
+        // within a few draws.  The depth sampler's next boundary and each
+        // completion must pin there instead of wrapping: a wrapped
+        // boundary never passes `now` and samples without end, and a
+        // wrapped completion lands before its own arrival.
+        let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
+        config.shards.truncate(1);
+        config.sources.truncate(1);
+        config.sources[0].process = ArrivalProcess::Poisson { mean_interarrival_cycles: 1 << 63 };
+        config.horizon_cycles = u64::MAX;
+        config.max_jobs = 6;
+        config.seed = 0;
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert_eq!(report.submitted, 6);
+        assert!(
+            report.events.iter().any(|e| e.arrival_cycle == u64::MAX),
+            "arrivals must saturate: {:?}",
+            report.events
+        );
+        for e in &report.events {
+            assert!(
+                e.arrival_cycle <= e.start_cycle && e.start_cycle <= e.completion_cycle,
+                "{e:?}"
+            );
+        }
+        let bound = config.horizon_cycles / report.depth_stride_cycles + 1;
+        for d in &report.depth {
+            assert!(d.samples.len() as u64 <= bound, "{} depth samples", d.samples.len());
+        }
     }
 
     /// Rebuilds every tenant's latency sketch and completed / shed window

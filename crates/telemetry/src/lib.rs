@@ -67,8 +67,8 @@ pub mod trace;
 pub use json::{parse_json, JsonParseError, JsonValue};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LabelSet, LabeledCounter, LabeledHistogram,
-    LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics, MetricsSnapshot,
-    QuantileSketch, Registry, ScopedTimer, SketchSnapshot, WindowCell, WindowedAggregator,
+    MetricsSnapshot, QuantileSketch, Registry, ScopedTimer, SketchSnapshot, WindowCell,
+    WindowedAggregator,
 };
 pub use perfetto::perfetto_json;
 pub use profile::{PhaseGuard, PhaseHandle, PhaseSnapshot, ProfileSnapshot, Profiler};

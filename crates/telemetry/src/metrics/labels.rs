@@ -111,15 +111,8 @@ impl LabeledCounter {
 
     /// The counter at `labels`, created at zero on first use.
     pub fn with(&self, labels: &[(&str, &str)]) -> Counter {
-        self.with_set(&LabelSet::new(labels))
-    }
-
-    /// The counter at an already-canonical `set`, created at zero on
-    /// first use.  Lets batched flushes ([`super::local::LocalMetrics`])
-    /// reuse a label set interned once instead of re-canonicalizing.
-    pub fn with_set(&self, set: &LabelSet) -> Counter {
         let mut g = self.points.lock().expect("labeled counter poisoned");
-        g.entry(set.clone()).or_default().clone()
+        g.entry(LabelSet::new(labels)).or_default().clone()
     }
 
     /// Point-in-time totals, sorted lexicographically by label set.

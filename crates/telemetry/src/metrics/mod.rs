@@ -7,7 +7,6 @@
 //! is only held during registration and snapshotting.
 
 pub mod labels;
-pub mod local;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -18,7 +17,6 @@ pub use labels::{
     LabelSet, LabeledCounter, LabeledHistogram, QuantileSketch, SketchSnapshot, WindowCell,
     WindowedAggregator,
 };
-pub use local::{LocalCounter, LocalHistogram, LocalLabeledCounter, LocalMetrics};
 
 /// A monotonically increasing event count.
 #[derive(Debug, Clone, Default)]
@@ -99,13 +97,11 @@ impl Histogram {
     }
 
     fn new(bounds: &[u64]) -> Self {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let n = sorted.len() + 1;
+        let bounds = canonical_bounds(bounds);
+        let n = bounds.len() + 1;
         Histogram {
             inner: Arc::new(HistogramInner {
-                bounds: sorted,
+                bounds,
                 buckets: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
@@ -118,43 +114,31 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, value: u64) {
         let h = &*self.inner;
-        let idx = h.bounds.partition_point(|&b| b < value);
-        h.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        h.buckets[bucket_of(&h.bounds, value)].fetch_add(1, Ordering::Relaxed);
         h.count.fetch_add(1, Ordering::Relaxed);
         h.sum.fetch_add(value, Ordering::Relaxed);
         h.min.fetch_min(value, Ordering::Relaxed);
         h.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Folds a pre-bucketed batch of samples into this histogram —
-    /// equivalent to calling [`Histogram::record`] once per sample.
-    /// `bounds` must equal the histogram's own canonical bounds (callers
-    /// bucket with the same sort+dedup scheme, see
-    /// [`local::LocalMetrics`]); `min`/`max` are the batch extremes and
-    /// `count` must be non-zero so the empty-batch min sentinel never
-    /// leaks in.
-    pub(crate) fn merge_bucketed(
-        &self,
-        bounds: &[u64],
-        buckets: &[u64],
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) {
+    /// Folds `other`'s samples into this histogram — equivalent to
+    /// calling [`Histogram::record`] once per sample it holds.  `other`
+    /// must have this histogram's canonical bounds (build it with
+    /// [`HistogramSnapshot::with_bounds`] from the same bounds); an empty
+    /// `other` changes nothing.
+    pub fn merge(&self, other: &HistogramSnapshot) {
         let h = &*self.inner;
-        assert_eq!(h.bounds, bounds, "bucketed merge requires identical bounds");
-        assert_eq!(h.buckets.len(), buckets.len());
-        assert!(count > 0, "empty batches must be skipped by the caller");
-        for (mine, &theirs) in h.buckets.iter().zip(buckets) {
-            if theirs != 0 {
-                mine.fetch_add(theirs, Ordering::Relaxed);
-            }
+        assert_eq!(h.bounds, other.bounds, "merging histograms requires identical bounds");
+        if other.count == 0 {
+            return;
         }
-        h.count.fetch_add(count, Ordering::Relaxed);
-        h.sum.fetch_add(sum, Ordering::Relaxed);
-        h.min.fetch_min(min, Ordering::Relaxed);
-        h.max.fetch_max(max, Ordering::Relaxed);
+        for (mine, &theirs) in h.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs, Ordering::Relaxed);
+        }
+        h.count.fetch_add(other.count, Ordering::Relaxed);
+        h.sum.fetch_add(other.sum, Ordering::Relaxed);
+        h.min.fetch_min(other.min, Ordering::Relaxed);
+        h.max.fetch_max(other.max, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -198,7 +182,45 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+/// `bounds` sorted ascending with duplicates dropped: the bucket scheme
+/// every histogram uses.
+fn canonical_bounds(bounds: &[u64]) -> Vec<u64> {
+    let mut sorted = bounds.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    sorted
+}
+
+/// The bucket `value` falls into under canonical `bounds`: the first
+/// bound `>= value`, or the trailing overflow bucket.
+#[inline]
+fn bucket_of(bounds: &[u64], value: u64) -> usize {
+    bounds.partition_point(|&b| b < value)
+}
+
 impl HistogramSnapshot {
+    /// An empty histogram over `bounds` (canonicalized like
+    /// [`Registry::histogram`]'s), filled with [`HistogramSnapshot::record`]
+    /// — a plain, single-owner accumulator that a hot loop can fill
+    /// without atomics and fold into a registry histogram once with
+    /// [`Histogram::merge`].
+    pub fn with_bounds(bounds: &[u64]) -> Self {
+        let bounds = canonical_bounds(bounds);
+        let buckets = vec![0; bounds.len() + 1];
+        HistogramSnapshot { bounds, buckets, count: 0, sum: 0, min: 0, max: 0 }
+    }
+
+    /// Records one sample, bucketed exactly like [`Histogram::record`]
+    /// (the sum wraps, like the atomic one).
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_of(&self.bounds, value)] += 1;
+        self.min = if self.count == 0 { value } else { self.min.min(value) };
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
     /// Mean sample value, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -642,6 +664,27 @@ mod tests {
         let snap = reg.snapshot();
         let h = snap.histogram("phase.load").unwrap();
         assert_eq!(h.count, 1);
+    }
+
+    #[test]
+    fn recorded_snapshot_merges_like_per_sample_records() {
+        // Samples recorded into a detached snapshot and merged once
+        // snapshot identically to recording each sample directly, on top
+        // of samples the histogram already holds; an empty merge is a
+        // no-op.
+        let bounds = [100, 10, 1000, 100];
+        let (direct, merged) = (Registry::new(), Registry::new());
+        direct.histogram("wait", &bounds).record(5);
+        merged.histogram("wait", &bounds).record(5);
+        merged.histogram("wait", &bounds).merge(&HistogramSnapshot::with_bounds(&bounds));
+        let mut local = HistogramSnapshot::with_bounds(&bounds);
+        assert_eq!(local.bounds, vec![10, 100, 1000]);
+        for sample in (0..500u64).map(|i| i * 7 % 1500) {
+            direct.histogram("wait", &bounds).record(sample);
+            local.record(sample);
+        }
+        merged.histogram("wait", &bounds).merge(&local);
+        assert_eq!(direct.snapshot(), merged.snapshot());
     }
 
     #[test]

@@ -172,7 +172,7 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
     online examples/online_manifest.json --report-out "$out/online_report.json" \
     --slo-out "$out/online_slo.json" --dash-out "$out/online_dash.html" \
     --events-out "$out/online_events.jsonl" \
-    --perfetto-out "$out/online_perfetto.json" >/dev/null
+    --perfetto-out "$out/online_perfetto.json" > "$out/online.txt"
 test -s "$out/online_report.json"
 # The online report is a pure function of the manifest (discrete-event
 # clock, seeded integer arrival sampling, order-independent SLO fold),
@@ -180,14 +180,17 @@ test -s "$out/online_report.json"
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_online_baseline.json "$out/online_report.json" --tol 0
 # Worker-count independence: re-running the same manifest with 2 and 8
-# workers must reproduce the report byte for byte.
+# workers must reproduce the report byte for byte, and the text view
+# too: it prints the per-shard `engine.jobs{...}` metric points, which
+# no BENCH_*.json gates.
 for w in 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \
         online examples/online_manifest.json --workers "$w" \
-        --report-out "$out/online_report_w$w.json" >/dev/null
+        --report-out "$out/online_report_w$w.json" > "$out/online_w$w.txt"
     cmp "$out/online_report.json" "$out/online_report_w$w.json"
+    cmp "$out/online.txt" "$out/online_w$w.txt"
 done
-echo "online report byte-identical at 1, 2 and 8 workers"
+echo "online report and text view byte-identical at 1, 2 and 8 workers"
 # The online SLO export (latency sketches, fJ attribution, windowed
 # completed/shed series) comes out of the streaming SLO fold; it is a
 # pure function of the manifest, gated at zero tolerance on the example
@@ -307,8 +310,8 @@ open(sys.argv[2], "w").write(
 fi
 
 echo "==> 1e7-arrival gate: repro profile examples/profile_10m_manifest.json"
-# The batched hot path (LocalMetrics deltas, completion-burst pops,
-# arrival refills) exists to make this scale routine: ~1.03e7 arrivals
+# The batched hot path (one metrics write per run, completion-burst
+# pops, arrival refills) exists to make this scale routine: ~1.03e7 arrivals
 # through the full admission/dispatch/SLO pipeline.  Counters stay a
 # pure function of the manifest, so the baseline diff runs at --tol 0.
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
@@ -328,8 +331,8 @@ phases = doc["counters"]
 assert phases["dispatch"]["events_popped"] == meta["submitted"] + meta["completed"]
 assert phases["admission"]["offered"] == meta["submitted"]
 assert phases["slo-fold"]["observations"] == meta["submitted"]
-# metric_increments is derived from the LocalMetrics flush; it must
-# still equal the legacy closed form of the per-event path.
+# metric_increments counts the per-job metric updates the outcomes stand
+# for; it must equal the closed form of the per-event path.
 assert phases["admission"]["metric_increments"] == (
     meta["submitted"] + 2 * (meta["rejected"] + meta["shed"]) + 3 * meta["completed"]
 ), "flush-derived metric_increments drifted from the per-event formula"

@@ -1,51 +1,53 @@
-//! Differential equivalence harness for the batched hot-path metrics.
+//! Golden-file and structural checks for the online run's metrics.
 //!
-//! PR-9 moved the online engine's per-event registry traffic
-//! (`Mutex`-guarded counter lookups, labeled-point canonicalization,
-//! atomic histogram records) onto thread-local [`LocalMetrics`] deltas
-//! that are flushed into the registry exactly once at end of run.  The
-//! legacy per-event path is kept alive behind
-//! [`MetricsMode::PerEventShadow`] — not as dead code, but as the
-//! reference side of this harness: every seeded manifest is run through
-//! **both** paths and every export that can observe a metric is
-//! compared byte-for-byte.
+//! The online loop counts each outcome once, in its shard's admission
+//! funnel and the SLO fold's per-source counts, and writes the metrics
+//! registry once after the loop from those tallies.  Two checks pin
+//! that write:
 //!
-//! What is compared, per (policy × worker count) cell:
+//! * **Golden files.**  `tests/golden/metrics_equivalence/` holds, per
+//!   dispatch policy, the three exports that can observe a metric,
+//!   frozen from the earlier per-event metrics path (one registry
+//!   operation per counter update) on [`MANIFEST`].  Every policy ×
+//!   worker-count cell must reproduce them byte for byte:
+//!   * the full metrics snapshot JSON (flat counters, gauges, histogram
+//!     buckets/sums/min/max, labeled counter families) via
+//!     [`bsc_telemetry::sink::metrics_to_json`], timers stripped — wall
+//!     clock is the one legitimately nondeterministic quantity;
+//!   * the online report JSON (funnel, per-shard tallies, depth
+//!     timeline);
+//!   * the SLO JSON (windowed goodput/latency series, per-tenant
+//!     rejection reasons, quantile sketches).
+//! * **Structure.**  On any manifest, the registry restates the report:
+//!   each `engine.jobs{outcome,reason,shard}` point equals its funnel
+//!   count and exists exactly when that count is non-zero, the flat
+//!   `engine.jobs.*` counters equal the report's aggregate, and the
+//!   queue-wait histogram holds one sample per completion.
 //!
-//! * the full metrics snapshot JSON (flat counters, gauges, histogram
-//!   buckets/sums/min/max, labeled counter families, labeled
-//!   histograms) via [`bsc_telemetry::sink::metrics_to_json`], timers
-//!   stripped — wall clock is the one legitimately nondeterministic
-//!   quantity;
-//! * the online report JSON (funnel, per-shard tallies, depth
-//!   timeline, event log);
-//! * the SLO JSON (windowed goodput/latency series, per-tenant
-//!   rejection reasons, quantile sketches).
-//!
-//! A drift in any counter delta, any histogram bucket boundary, any
-//! label canonicalization or any flush-ordering detail shows up here as
-//! a byte diff, with the policy/worker cell named in the panic.
-//!
-//! [`LocalMetrics`]: bsc_telemetry::LocalMetrics
-//! [`MetricsMode::PerEventShadow`]: bsc_accel::cluster::MetricsMode
+//! A drift in any count, histogram bucket boundary, label
+//! canonicalization or skipped zero shows up as a diff, with the
+//! policy/worker cell named in the panic.
 
-use bsc_bench::online::{online, online_shadow, report_json, slo_json, OnlineRun};
+use bsc_accel::cluster::ShardFunnel;
+use bsc_bench::online::{online, report_json, slo_json, OnlineRun};
 use bsc_telemetry::sink::metrics_to_json;
+use bsc_telemetry::LabelSet;
 
 /// Seeded manifest exercising all three arrival processes (Poisson,
-/// bursty, diurnal), heterogeneous shards, every rejection reason
-/// (queue_full via `max_outstanding`, deadline_infeasible and shed via
-/// the tight `strict` deadline, overloaded via `max_backlog_cycles`)
-/// and both SLO-tracked and untracked tenants.  The dispatch policy is
-/// substituted per test cell.
+/// bursty, diurnal), heterogeneous shards, every admission-ladder rung
+/// under every dispatch policy (queue_full via `max_outstanding`,
+/// overloaded via `max_backlog_cycles`, deadline_infeasible and shed
+/// via the tight `steady` and `squall` deadlines) and both SLO-tracked
+/// and untracked tenants.  The dispatch policy is substituted per test
+/// cell.
 const MANIFEST: &str = r#"{
   "cluster": {
     "policy": "least-outstanding",
     "seed": 20260808,
     "horizon_cycles": 400000,
     "max_jobs": 6000,
-    "max_outstanding": 6,
-    "max_backlog_cycles": 150000,
+    "max_outstanding": 3,
+    "max_backlog_cycles": 800,
     "workers": 2,
     "shards": [
       {"name": "bsc0", "kind": "bsc", "quick": true},
@@ -60,10 +62,10 @@ const MANIFEST: &str = r#"{
   },
   "sources": [
     {"name": "steady", "network": "micro", "tenant": "gold",
-     "deadline_cycles": 120000,
+     "deadline_cycles": 4000,
      "arrivals": {"process": "poisson", "mean_interarrival_cycles": 350}},
     {"name": "squall", "network": "micro", "tenant": "strict", "precision": "int8",
-     "deadline_cycles": 40000,
+     "deadline_cycles": 900,
      "arrivals": {"process": "bursty", "on_cycles": 5000, "off_cycles": 15000,
                   "mean_interarrival_cycles": 120}},
     {"name": "tide", "network": "micro",
@@ -80,7 +82,7 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 /// (wall clock), as are the `engine.cache.*` / `telemetry.characterize.*`
 /// counters: those publish the *process-global* characterization cache,
 /// which warms monotonically across the runs of this test binary and is
-/// orthogonal to the per-run metrics path under test.
+/// orthogonal to the per-run metrics under test.
 fn exports(run: &OnlineRun) -> [String; 3] {
     let mut snap = run.metrics.without_timers();
     snap.counters.retain(|(name, _)| {
@@ -89,55 +91,122 @@ fn exports(run: &OnlineRun) -> [String; 3] {
     [metrics_to_json(&snap), report_json(run), slo_json(run)]
 }
 
-/// The headline differential: batched `LocalMetrics` flush vs legacy
-/// per-event registry increments, byte-identical across all three
-/// dispatch policies, all three arrival processes (the manifest runs
-/// them concurrently) and 1/2/8 workers.
+/// The export kinds, in [`exports`] order.
+const KINDS: [&str; 3] = ["metrics", "report", "slo"];
+
+/// The golden exports of `policy`, in [`exports`] order.
+fn golden(policy: &str) -> [String; 3] {
+    KINDS.map(|kind| {
+        let path = format!(
+            "{}/tests/golden/metrics_equivalence/{policy}.{kind}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    })
+}
+
+/// The headline check: every export matches the golden files across
+/// all three dispatch policies, all three arrival processes (the
+/// manifest runs them concurrently) and 1/2/8 workers.
 #[test]
-fn batched_and_per_event_paths_are_byte_identical() {
+fn online_exports_match_the_golden_files() {
     for policy in POLICIES {
         let manifest = MANIFEST.replace("least-outstanding", policy);
+        let want = golden(policy);
         for workers in WORKERS {
             let cell = format!("policy={policy} workers={workers}");
-            let batched = online(&manifest, Some(workers)).unwrap();
-            let shadow = online_shadow(&manifest, Some(workers)).unwrap();
-            // The run must be non-trivial or the equivalence is vacuous.
-            assert!(batched.report.submitted > 1000, "{cell}: too few arrivals");
-            assert!(batched.report.completed > 0, "{cell}: nothing completed");
-            let [b_metrics, b_report, b_slo] = exports(&batched);
-            let [s_metrics, s_report, s_slo] = exports(&shadow);
-            assert_eq!(b_metrics, s_metrics, "{cell}: metrics snapshot diverged");
-            assert_eq!(b_report, s_report, "{cell}: online report diverged");
-            assert_eq!(b_slo, s_slo, "{cell}: SLO document diverged");
+            let run = online(&manifest, Some(workers)).unwrap();
+            // The run must be non-trivial or the comparison is vacuous.
+            assert!(run.report.submitted > 1000, "{cell}: too few arrivals");
+            assert!(run.report.completed > 0, "{cell}: nothing completed");
+            let got = exports(&run);
+            for (i, kind) in KINDS.iter().enumerate() {
+                assert_eq!(got[i], want[i], "{cell}: {kind} export diverged from its golden file");
+            }
         }
     }
 }
 
-/// The differential is not vacuous: the manifest drives every outcome
-/// class the per-event path would have recorded, so each labeled family
-/// and histogram the shadow path touches is populated on both sides.
-#[test]
-fn harness_covers_every_outcome_family() {
-    let run = online(MANIFEST, Some(2)).unwrap();
-    let json = metrics_to_json(&run.metrics.without_timers());
-    for needle in [
-        "engine.jobs.submitted",
-        "engine.jobs.rejected",
-        "engine.jobs.completed",
-        "engine.jobs{outcome=completed,",
-        "engine.jobs{outcome=rejected,",
-        "engine.queue.wait_cycles",
-    ] {
-        assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
+/// Checks that hold on any manifest: the registry's outcome metrics
+/// restate the report's funnel and aggregate.
+fn assert_metrics_restate_the_report(run: &OnlineRun, cell: &str) {
+    let (r, m) = (&run.report, &run.metrics);
+    let mut expected: Vec<(LabelSet, u64)> = Vec::new();
+    for f in &r.funnel {
+        for (outcome, reason, n) in [
+            ("completed", None, f.dispatched),
+            ("rejected", Some("queue_full"), f.queue_full),
+            ("rejected", Some("overloaded"), f.overloaded),
+            ("rejected", Some("deadline_infeasible"), f.deadline_infeasible),
+            ("shed", Some("deadline_missed"), f.shed_deadline),
+        ] {
+            let mut labels = vec![("outcome", outcome), ("shard", f.shard.as_str())];
+            labels.extend(reason.map(|reason| ("reason", reason)));
+            if n > 0 {
+                expected.push((LabelSet::new(&labels), n));
+            }
+        }
     }
-    assert!(run.report.rejected > 0, "no rejections — queue_full family untested");
+    expected.sort();
+    assert_eq!(
+        m.labeled_counter("engine.jobs"),
+        expected.as_slice(),
+        "{cell}: engine.jobs points must equal the non-zero funnel counts"
+    );
+    for (name, n) in [
+        ("engine.jobs.submitted", r.submitted),
+        ("engine.jobs.rejected", r.rejected),
+        ("engine.jobs.shed", r.shed),
+        ("engine.jobs.completed", r.completed),
+    ] {
+        assert_eq!(m.counter(name), n, "{cell}: `{name}` must equal the report aggregate");
+        let present = m.counters.iter().any(|(k, _)| k == name);
+        assert_eq!(present, n > 0, "{cell}: `{name}` must be present exactly when non-zero");
+    }
+    let waits = m.histogram("engine.queue.wait_cycles").map_or(0, |h| h.count);
+    assert_eq!(waits, r.completed, "{cell}: one queue-wait sample per completion");
 }
 
-/// The shadow path is itself deterministic (two shadow runs agree), so
-/// a batched-vs-shadow diff can always be attributed to the batching.
+/// The structural check in every policy × worker cell, on the golden
+/// manifest (every rung fires) and on a loose variant where no job is
+/// overloaded, deadline-infeasible or shed, so those points must stay
+/// absent.
 #[test]
-fn shadow_path_is_reproducible() {
-    let a = online_shadow(MANIFEST, Some(2)).unwrap();
-    let b = online_shadow(MANIFEST, Some(8)).unwrap();
-    assert_eq!(exports(&a), exports(&b), "shadow path varies with worker count");
+fn registry_metrics_restate_the_report_in_every_cell() {
+    let loose = MANIFEST
+        .replace(r#""max_outstanding": 3"#, r#""max_outstanding": 6"#)
+        .replace(r#""max_backlog_cycles": 800"#, r#""max_backlog_cycles": 150000"#)
+        .replace(r#""deadline_cycles": 4000"#, r#""deadline_cycles": 120000"#)
+        .replace(r#""deadline_cycles": 900"#, r#""deadline_cycles": 40000"#);
+    for (name, manifest) in [("golden", MANIFEST), ("loose", loose.as_str())] {
+        for policy in POLICIES {
+            let manifest = manifest.replace("least-outstanding", policy);
+            for workers in WORKERS {
+                let cell = format!("manifest={name} policy={policy} workers={workers}");
+                let run = online(&manifest, Some(workers)).unwrap();
+                assert_metrics_restate_the_report(&run, &cell);
+            }
+        }
+    }
+}
+
+/// The golden files are not vacuous: under every policy the manifest
+/// fires every admission-ladder rung, so (by the structural check) every
+/// `engine.jobs` point family and the wait histogram are populated.
+#[test]
+fn harness_covers_every_outcome_family() {
+    for policy in POLICIES {
+        let run = online(&MANIFEST.replace("least-outstanding", policy), Some(2)).unwrap();
+        let f = &run.report.funnel;
+        let rung = |count: fn(&ShardFunnel) -> u64| f.iter().map(count).sum::<u64>();
+        for (name, n) in [
+            ("queue_full", rung(|s| s.queue_full)),
+            ("overloaded", rung(|s| s.overloaded)),
+            ("deadline_infeasible", rung(|s| s.deadline_infeasible)),
+            ("shed_deadline", rung(|s| s.shed_deadline)),
+            ("dispatched", rung(|s| s.dispatched)),
+        ] {
+            assert!(n > 0, "{policy}: funnel rung `{name}` never fired");
+        }
+    }
 }
