@@ -1,9 +1,14 @@
 //! Reproduction harness: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
-//!       [--bench-out FILE] [--no-timers]
-//!       [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|all]
+//! repro [all] [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
+//!       [--no-timers]
+//! repro fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9 [--quick] [--csv DIR]
+//! repro table1 [--csv DIR]
+//! repro extensions
+//! repro telemetry [--metrics-out FILE] [--trace-out FILE] [--no-timers]
+//! repro simbench [--quick] [--bench-out FILE]
+//! repro mem [--quick] [--csv DIR] [--bench-out FILE]
 //! repro trace [--perfetto-out FILE] [--svg-out FILE] [--trace-cap N]
 //! repro serve <manifest.json> [--report-out FILE] [--slo-out FILE]
 //!             [--dash-out FILE] [--events-out FILE]
@@ -31,8 +36,10 @@
 //! * `--no-timers` excludes wall-clock histograms from `--metrics-out`,
 //!   making the document byte-identical across repeat runs.
 //!
-//! Passing `--metrics-out` / `--trace-out` without naming an experiment
-//! runs just `telemetry` (which needs no characterization pass).
+//! Passing `--metrics-out` / `--trace-out` / `--no-timers` without naming
+//! an experiment runs just `telemetry` (which needs no characterization
+//! pass); `--bench-out` alone runs `simbench`, `--perfetto-out` /
+//! `--svg-out` alone run `trace`.
 //!
 //! * `simbench` benchmarks the netlist evaluator itself (full-sweep vs
 //!   event-driven incremental) and reports the characterization
@@ -89,8 +96,7 @@
 //!   front; `--bench-out` writes the `BENCH_dse_baseline.json` document
 //!   the CI gate diffs at `--tol 0`, `--csv DIR` the per-point CSV, and
 //!   `--svg-out` a self-contained Pareto scatter SVG.
-//! * `serve`, `mem`, `online`, `profile` and `dse` validate their flags
-//!   strictly: an
+//! * Every subcommand validates its flags strictly, before any work: an
 //!   unknown or out-of-place flag, or a flag missing its value, exits
 //!   with status 2 and the usage text.
 //! * `diff` compares two benchmark/metrics JSON files field-by-field and
@@ -127,6 +133,8 @@ const PATH_FLAGS: &[&str] = &[
 ];
 
 struct Options {
+    /// The subcommand needs the characterized workbench.
+    characterize: bool,
     quick: bool,
     /// The given [`PATH_FLAGS`] and their paths.
     paths: BTreeMap<String, PathBuf>,
@@ -200,12 +208,12 @@ fn parse_args() -> Options {
             other => die_usage(&format!("unknown flag `{other}`")),
         }
     }
-    // Telemetry outputs without an explicit experiment mean "run the
+    // Telemetry flags without an explicit experiment mean "run the
     // telemetry probe"; a bench output alone means "run simbench"; trace
     // outputs alone mean "run the observatory" — all are self-contained
     // and skip characterization.
-    let given = |flags: &[&str]| flags.iter().any(|f| paths.contains_key(*f));
-    let default = if given(&["--metrics-out", "--trace-out"]) {
+    let given = |flags: &[&str]| flags.iter().any(|f| seen_flags.iter().any(|s| s == f));
+    let default = if given(&["--metrics-out", "--trace-out", "--no-timers"]) {
         "telemetry"
     } else if given(&["--bench-out"]) {
         "simbench"
@@ -215,17 +223,21 @@ fn parse_args() -> Options {
         "all"
     };
     let which = which.unwrap_or_else(|| default.to_owned());
-    // `serve`, `mem` and `online` accept only their own flags — a stray
-    // flag silently changing nothing is how baseline-generation runs go
-    // wrong, so it is a usage error instead.
-    if let Some(allowed) = subcommand_flags(&which) {
-        for flag in &seen_flags {
-            if !allowed.contains(&flag.as_str()) {
-                die_usage(&format!("`repro {which}` does not accept `{flag}`"));
-            }
+    let Some(&(_, characterize, flags)) = SUBCOMMANDS.iter().find(|s| s.0 == which) else {
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(|s| s.0).collect();
+        let names = names.join("|");
+        die(&format!("unknown experiment `{which}` (expected {names})"))
+    };
+    // Every subcommand accepts only its own flags — a stray flag
+    // silently changing nothing is how baseline-generation runs go
+    // wrong, so it is a usage error instead, raised before any work.
+    for flag in &seen_flags {
+        if !flags.contains(&flag.as_str()) {
+            die_usage(&format!("`repro {which}` does not accept `{flag}`"));
         }
     }
     Options {
+        characterize,
         quick,
         paths,
         trace_cap,
@@ -246,12 +258,31 @@ fn number_arg<T: std::str::FromStr>(flag: &str, args: &mut impl Iterator<Item = 
     n.parse().unwrap_or_else(|_| die(&format!("{flag}: `{n}` is not a number")))
 }
 
-/// The exact flag set each strict subcommand accepts; `None` leaves the
-/// subcommand on the legacy permissive path.
-fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
-    match which {
-        "serve" => Some(&["--report-out", "--slo-out", "--dash-out", "--events-out"]),
-        "online" => Some(&[
+/// The flags of the figure subcommands.
+const FIGURE_FLAGS: &[&str] = &["--quick", "--csv"];
+
+/// Every subcommand in usage order, as (name, whether it needs the
+/// characterized workbench, the exact flags it accepts): the one table
+/// the flag check, the characterization decision and the
+/// unknown-experiment message read.
+const SUBCOMMANDS: &[(&str, bool, &[&str])] = &[
+    ("table1", false, &["--csv"]),
+    ("fig7a", true, FIGURE_FLAGS),
+    ("fig7b", true, FIGURE_FLAGS),
+    ("fig8a", true, FIGURE_FLAGS),
+    ("fig8b", true, FIGURE_FLAGS),
+    ("fig8b-gate", false, FIGURE_FLAGS),
+    ("fig9", true, FIGURE_FLAGS),
+    ("telemetry", false, &["--metrics-out", "--trace-out", "--no-timers"]),
+    ("simbench", false, &["--quick", "--bench-out"]),
+    ("mem", false, &["--quick", "--csv", "--bench-out"]),
+    ("dse", false, &["--workers", "--bench-out", "--csv", "--svg-out"]),
+    ("trace", false, &["--perfetto-out", "--svg-out", "--trace-cap"]),
+    ("serve", false, &["--report-out", "--slo-out", "--dash-out", "--events-out"]),
+    (
+        "online",
+        false,
+        &[
             "--workers",
             "--report-out",
             "--slo-out",
@@ -260,13 +291,13 @@ fn subcommand_flags(which: &str) -> Option<&'static [&'static str]> {
             "--perfetto-out",
             "--profile-out",
             "--folded-out",
-        ]),
-        "profile" => Some(&["--workers", "--profile-out", "--folded-out"]),
-        "mem" => Some(&["--quick", "--csv", "--bench-out"]),
-        "dse" => Some(&["--workers", "--bench-out", "--csv", "--svg-out"]),
-        _ => None,
-    }
-}
+        ],
+    ),
+    ("profile", false, &["--workers", "--profile-out", "--folded-out"]),
+    ("diff", false, &["--tol", "--ignore", "--verbose"]),
+    ("extensions", false, &[]),
+    ("all", true, &["--quick", "--csv", "--metrics-out", "--trace-out", "--no-timers"]),
+];
 
 fn main() {
     let opts = parse_args();
@@ -276,22 +307,7 @@ fn main() {
         }
     }
 
-    let needs_workbench = !matches!(
-        opts.which.as_str(),
-        "table1"
-            | "fig8b-gate"
-            | "extensions"
-            | "telemetry"
-            | "simbench"
-            | "mem"
-            | "dse"
-            | "trace"
-            | "serve"
-            | "online"
-            | "profile"
-            | "diff"
-    );
-    let wb = if needs_workbench {
+    let wb = if opts.characterize {
         eprintln!(
             "characterizing BSC/LPC/HPS netlists ({} mode)...",
             if opts.quick { "quick" } else { "paper" }
@@ -520,9 +536,7 @@ fn main() {
             println!();
             run_telemetry();
         }
-        other => die(&format!(
-            "unknown experiment `{other}` (expected table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|dse|trace|serve|online|profile|diff|extensions|all)"
-        )),
+        other => unreachable!("`{other}` passed the subcommand table"),
     }
 }
 
@@ -554,9 +568,14 @@ fn read_manifest(which: &str, files: &[PathBuf]) -> String {
 
 const USAGE: &str = "\
 usage:
-  repro [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
-        [--bench-out FILE] [--no-timers]
-        [table1|fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9|telemetry|simbench|mem|all]
+  repro [all] [--quick] [--csv DIR] [--metrics-out FILE] [--trace-out FILE]
+        [--no-timers]
+  repro fig7a|fig7b|fig8a|fig8b|fig8b-gate|fig9 [--quick] [--csv DIR]
+  repro table1 [--csv DIR]
+  repro extensions
+  repro telemetry [--metrics-out FILE] [--trace-out FILE] [--no-timers]
+  repro simbench [--quick] [--bench-out FILE]
+  repro mem [--quick] [--csv DIR] [--bench-out FILE]
   repro trace [--perfetto-out FILE] [--svg-out FILE] [--trace-cap N]
   repro serve <manifest.json> [--report-out FILE] [--slo-out FILE]
               [--dash-out FILE] [--events-out FILE]

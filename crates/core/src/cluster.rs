@@ -52,11 +52,11 @@ use bsc_telemetry::{HistogramSnapshot, QuantileSketch, Registry, Telemetry};
 use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
 use crate::engine::{
     estimate_cycles_for, evaluate_distinct, schedule_cycles_for, CharacterizationCache,
-    Evaluation, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES,
+    Evaluation, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES, REJECT_SLUGS, SHED_SLUG,
 };
 use crate::slo::{
     quantize_energy_fj, window_width_for_horizon, CompletionGroup, SloAccountant, SloReport,
-    SloTarget, TenantId,
+    SloTarget, TenantId, WindowCounts,
 };
 use crate::{AccelError, AcceleratorConfig};
 
@@ -381,81 +381,6 @@ struct OnlinePhases {
     slo: PhaseHandle,
 }
 
-/// Fine windows per row of a [`WindowCounts`] table.  Not a knob: any
-/// cap of at least 128 keeps the fine width at or below the report's
-/// window width (see [`WindowCounts`]), and the table's memory is
-/// `rows × FINE_WINDOWS` however far completions run past the horizon.
-const FINE_WINDOWS: usize = 128;
-
-/// Per-row event counts by fine window on the virtual clock — the
-/// streaming form of the SLO fold's windowed series.
-///
-/// The fine width starts at `window_width_for_horizon(horizon)`; the
-/// report's width is `window_width_for_horizon(max(horizon, makespan))`.
-/// Both are powers of two and the function is monotone, so the report's
-/// width is `fine · 2^k` and fine window `f` lies wholly inside report
-/// window `f >> k`: the fold loses nothing.  An event that would index
-/// past the cap doubles the fine width and merges neighbouring cells,
-/// exact for the same reason (`⌊c / 2w⌋ = ⌊⌊c / w⌋ / 2⌋`).  A doubling
-/// needs an event at cycle `c ≥ FINE_WINDOWS · fine`, so the doubled
-/// width is at most `c / 64`.  Every event cycle is at most
-/// `m = max(horizon, makespan)` and the report's width is at least
-/// `⌊m / 32⌋ ≥ m / 64`: the fine width never overtakes the report's.
-struct WindowCounts {
-    /// log2 of the fine window width.
-    shift: u32,
-    /// `rows × FINE_WINDOWS` counts, row-major.
-    cells: Vec<u64>,
-}
-
-impl WindowCounts {
-    /// A zeroed table of `rows` rows at fine width `width` (a power of
-    /// two).
-    fn new(rows: usize, width: u64) -> WindowCounts {
-        debug_assert!(width.is_power_of_two());
-        WindowCounts { shift: width.trailing_zeros(), cells: vec![0; rows * FINE_WINDOWS] }
-    }
-
-    /// Counts one event of `row` at `cycle`.
-    #[inline]
-    fn add(&mut self, row: usize, cycle: u64) {
-        let mut f = cycle >> self.shift;
-        while f >= FINE_WINDOWS as u64 {
-            self.coarsen();
-            f = cycle >> self.shift;
-        }
-        self.cells[row * FINE_WINDOWS + f as usize] += 1;
-    }
-
-    /// Doubles the fine width, merging cells `2i` and `2i + 1` into `i`.
-    #[cold]
-    fn coarsen(&mut self) {
-        for row in self.cells.chunks_exact_mut(FINE_WINDOWS) {
-            for i in 0..FINE_WINDOWS / 2 {
-                row[i] = row[2 * i] + row[2 * i + 1];
-            }
-            row[FINE_WINDOWS / 2..].fill(0);
-        }
-        self.shift += 1;
-    }
-
-    /// The fine window width in cycles.
-    fn width(&self) -> u64 {
-        1 << self.shift
-    }
-
-    /// `row`'s non-empty cells as `(first cycle of the fine window,
-    /// events)`.
-    fn row(&self, row: usize) -> Vec<(u64, u64)> {
-        self.cells[row * FINE_WINDOWS..(row + 1) * FINE_WINDOWS]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(f, &n)| ((f as u64) << self.shift, n))
-            .collect()
-    }
-}
-
 /// Arrivals drawn per source refill: one lockstep sampler block.
 const ARRIVAL_BATCH: usize = 64;
 
@@ -629,15 +554,6 @@ impl PhaseClock {
         self.profiler.add_residual(run_ns.saturating_sub(attributed));
     }
 }
-
-/// Reject-reason slugs by admission-ladder slot: 0 = `queue_full`,
-/// 1 = `overloaded`, 2 = `deadline_infeasible`.  Must match
-/// [`crate::engine::RejectReason::slug`] for each variant.
-const REJECT_SLUGS: [&str; 3] = ["queue_full", "overloaded", "deadline_infeasible"];
-
-/// The slug of the one shed reason,
-/// [`crate::engine::ShedReason::DeadlineMissed`].
-const SHED_SLUG: &str = "deadline_missed";
 
 /// Writes one run's outcome metrics into `m`, once, from the funnels:
 /// the flat `engine.jobs.*` counters, one `engine.jobs{outcome,reason,
@@ -941,7 +857,7 @@ pub fn run_online_profiled(
         f.offered += 1;
 
         // The admission ladder counts the rung that stops the job and
-        // yields its reject slot (the `REJECT_SLUGS` order).
+        // yields its reject slot (`RejectReason::slot`).
         let reject = if shards[hi].outstanding >= config.max_outstanding {
             f.queue_full += 1;
             Some(0)
@@ -1665,7 +1581,7 @@ mod tests {
         let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
         let fine = window_width_for_horizon(config.horizon_cycles);
         assert!(
-            report.makespan_cycles >= 2 * FINE_WINDOWS as u64 * fine,
+            report.makespan_cycles >= 2 * crate::slo::FINE_WINDOWS as u64 * fine,
             "makespan {} must overrun the fine table twice",
             report.makespan_cycles
         );

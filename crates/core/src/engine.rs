@@ -318,16 +318,29 @@ pub enum RejectReason {
     },
 }
 
+/// Reject-reason slugs by admission-ladder slot
+/// ([`RejectReason::slot`]): the one definition of each slug.
+pub(crate) const REJECT_SLUGS: [&str; 3] = ["queue_full", "overloaded", "deadline_infeasible"];
+
+/// The slug of the one shed reason, [`ShedReason::DeadlineMissed`].
+pub(crate) const SHED_SLUG: &str = "deadline_missed";
+
 impl RejectReason {
+    /// The reason's admission-ladder slot, the index of its slug in
+    /// [`REJECT_SLUGS`]: the order the online ladder tests its rungs in.
+    pub(crate) fn slot(&self) -> usize {
+        match self {
+            RejectReason::QueueFull { .. } => 0,
+            RejectReason::Overloaded { .. } => 1,
+            RejectReason::DeadlineInfeasible { .. } => 2,
+        }
+    }
+
     /// Machine-readable reason slug, the `reason` label of the
     /// `engine.jobs` metric family and the key of per-tenant rate
     /// breakdowns.
     pub fn slug(&self) -> &'static str {
-        match self {
-            RejectReason::QueueFull { .. } => "queue_full",
-            RejectReason::DeadlineInfeasible { .. } => "deadline_infeasible",
-            RejectReason::Overloaded { .. } => "overloaded",
-        }
+        REJECT_SLUGS[self.slot()]
     }
 }
 
@@ -366,7 +379,7 @@ impl ShedReason {
     /// Machine-readable reason slug (see [`RejectReason::slug`]).
     pub fn slug(&self) -> &'static str {
         match self {
-            ShedReason::DeadlineMissed { .. } => "deadline_missed",
+            ShedReason::DeadlineMissed { .. } => SHED_SLUG,
         }
     }
 
@@ -1153,6 +1166,19 @@ mod tests {
         let c = cache.get_or_characterize(MacKind::Hps, &cfg3).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    }
+
+    #[test]
+    fn reject_reasons_map_to_their_ladder_slots_and_slugs() {
+        let reasons = [
+            RejectReason::QueueFull { capacity: 1 },
+            RejectReason::Overloaded { backlog_cycles: 2, limit_cycles: 1 },
+            RejectReason::DeadlineInfeasible { projected_cycles: 2, deadline_cycles: 1 },
+        ];
+        assert_eq!(reasons.map(|r| r.slot()), [0, 1, 2]);
+        assert_eq!(reasons.map(|r| r.slug()), ["queue_full", "overloaded", "deadline_infeasible"]);
+        let shed = ShedReason::DeadlineMissed { completion_cycle: 2, deadline_cycles: 1 };
+        assert_eq!(shed.slug(), "deadline_missed");
     }
 
     #[test]

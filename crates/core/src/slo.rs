@@ -20,9 +20,11 @@
 //!   reduction over already-deterministic `LayerReport`s, per-tenant
 //!   energies sum *exactly* to the batch total — "which tenant burned
 //!   the joules" has one answer at any worker count;
-//! * **windows** — tumbling [`WindowedAggregator`] series of completed
-//!   / shed events on the virtual clock, the time axis of the serving
-//!   dashboard.
+//! * **windows** — per-tenant tumbling-window rows of completed / shed
+//!   events on the virtual clock, the time axis of the serving
+//!   dashboard.  This module owns that axis: the width rule
+//!   ([`window_width_for_horizon`]) and the online loop's fine count
+//!   table that nests inside the report's windows live here.
 //!
 //! Everything here is a serial reduction; nothing reads wall time, so
 //! the report is bit-identical at any worker count and gated at
@@ -35,7 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use bsc_mac::Precision;
-use bsc_telemetry::{QuantileSketch, SketchSnapshot, WindowedAggregator};
+use bsc_telemetry::{QuantileSketch, SketchSnapshot};
 
 use crate::engine::JobOutcome;
 use crate::report::NetworkReport;
@@ -113,7 +115,8 @@ pub struct TenantWindow {
     pub start_cycle: u64,
     /// Jobs completed in the window (by completion cycle).
     pub completed: u64,
-    /// Jobs shed in the window (by projected completion cycle).
+    /// Jobs shed in the window (by decision cycle: a batch job's
+    /// projected completion, an online job's arrival).
     pub shed: u64,
     /// Useful MACs completed in the window.
     pub macs: u64,
@@ -228,6 +231,22 @@ struct TenantAcc {
     macs: u64,
     energy_fj: u64,
     energy_by_precision: BTreeMap<&'static str, u64>,
+    windows: BTreeMap<u64, TenantWindow>,
+}
+
+impl TenantAcc {
+    /// The row of the `width`-cycle window holding `cycle`, opened empty
+    /// on first use.  Windows no event reaches never get a row.
+    fn window(&mut self, width: u64, cycle: u64) -> &mut TenantWindow {
+        let window = cycle / width;
+        self.windows.entry(window).or_insert(TenantWindow {
+            window,
+            start_cycle: window * width,
+            completed: 0,
+            shed: 0,
+            macs: 0,
+        })
+    }
 }
 
 /// The `energy_by_precision` key of a layer precision.
@@ -267,16 +286,17 @@ pub struct CompletionGroup<'a> {
 /// the batch makespan (see [`crate::Engine::run_batch`]) so the
 /// dashboard's time axis scales with the batch instead of wall time.
 pub struct SloAccountant {
-    windows: WindowedAggregator,
+    width: u64,
     tenants: BTreeMap<TenantId, TenantAcc>,
     observations: u64,
 }
 
 impl SloAccountant {
-    /// An empty accountant with `window_width_cycles`-wide windows.
+    /// An empty accountant with `window_width_cycles`-wide windows
+    /// (clamped to ≥ 1).
     pub fn new(window_width_cycles: u64) -> Self {
         SloAccountant {
-            windows: WindowedAggregator::new(window_width_cycles),
+            width: window_width_cycles.max(1),
             tenants: BTreeMap::new(),
             observations: 0,
         }
@@ -354,6 +374,7 @@ impl SloAccountant {
         let CompletionGroup { tenant, report, count, deadline_jobs, deadline_met, windows } = group;
         debug_assert_eq!(windows.iter().map(|&(_, n)| n).sum::<u64>(), count);
         self.observations += count;
+        let width = self.width;
         let acc = self.tenant_acc(tenant);
         acc.submitted += count;
         acc.completed += count;
@@ -369,12 +390,9 @@ impl SloAccountant {
             *split = split.wrapping_add(fj);
         }
         for &(cycle, n) in windows {
-            self.windows.record_counted(
-                cycle,
-                &[("tenant", tenant.as_str()), ("outcome", "completed")],
-                n,
-                n.wrapping_mul(macs),
-            );
+            let row = acc.window(width, cycle);
+            row.completed += n;
+            row.macs = row.macs.wrapping_add(n.wrapping_mul(macs));
         }
     }
 
@@ -430,6 +448,7 @@ impl SloAccountant {
         let count: u64 = by_reason.iter().map(|&(_, n)| n).sum();
         debug_assert_eq!(windows.iter().map(|&(_, n)| n).sum::<u64>(), count);
         self.observations += count;
+        let width = self.width;
         let acc = self.tenant_acc(tenant);
         acc.submitted += count;
         acc.shed += count;
@@ -437,18 +456,12 @@ impl SloAccountant {
             *acc.shed_by_reason.entry(slug).or_default() += n;
         }
         for &(cycle, n) in windows {
-            self.windows.record_counted(
-                cycle,
-                &[("tenant", tenant.as_str()), ("outcome", "shed")],
-                n,
-                0,
-            );
+            acc.window(width, cycle).shed += n;
         }
     }
 
     /// The finished per-tenant report.
     pub fn report(&self) -> SloReport {
-        let window_snapshot = self.windows.snapshot();
         let tenants = self
             .tenants
             .iter()
@@ -482,27 +495,6 @@ impl SloAccountant {
                         burn_rate,
                     }
                 });
-                let mut windows: BTreeMap<u64, TenantWindow> = BTreeMap::new();
-                for (w, labels, cell) in &window_snapshot {
-                    if labels.get("tenant") != Some(tenant.as_str()) {
-                        continue;
-                    }
-                    let row = windows.entry(*w).or_insert(TenantWindow {
-                        window: *w,
-                        start_cycle: *w * self.windows.width_cycles(),
-                        completed: 0,
-                        shed: 0,
-                        macs: 0,
-                    });
-                    match labels.get("outcome") {
-                        Some("completed") => {
-                            row.completed += cell.count;
-                            row.macs += cell.sum;
-                        }
-                        Some("shed") => row.shed += cell.count,
-                        _ => {}
-                    }
-                }
                 TenantSlo {
                     tenant: tenant.clone(),
                     target: acc.target,
@@ -531,12 +523,12 @@ impl SloAccountant {
                         .iter()
                         .map(|(k, v)| (k.to_string(), *v))
                         .collect(),
-                    windows: windows.into_values().collect(),
+                    windows: acc.windows.values().copied().collect(),
                     attainment,
                 }
             })
             .collect();
-        SloReport { window_width_cycles: self.windows.width_cycles(), tenants }
+        SloReport { window_width_cycles: self.width, tenants }
     }
 }
 
@@ -546,6 +538,81 @@ impl SloAccountant {
 /// pure function of the schedule.
 pub fn window_width_for_horizon(horizon_cycles: u64) -> u64 {
     (horizon_cycles / 32).max(1).next_power_of_two()
+}
+
+/// Fine windows per row of a [`WindowCounts`] table.  Not a knob: any
+/// cap of at least 128 keeps the fine width at or below the report's
+/// window width (see [`WindowCounts`]), and the table's memory is
+/// `rows × FINE_WINDOWS` however far completions run past the horizon.
+pub(crate) const FINE_WINDOWS: usize = 128;
+
+/// Per-row event counts by fine window on the virtual clock — the
+/// streaming form of the SLO fold's windowed series.
+///
+/// The fine width starts at `window_width_for_horizon(horizon)`; the
+/// report's width is `window_width_for_horizon(max(horizon, makespan))`.
+/// Both are powers of two and the function is monotone, so the report's
+/// width is `fine · 2^k` and fine window `f` lies wholly inside report
+/// window `f >> k`: the fold loses nothing.  An event that would index
+/// past the cap doubles the fine width and merges neighbouring cells,
+/// exact for the same reason (`⌊c / 2w⌋ = ⌊⌊c / w⌋ / 2⌋`).  A doubling
+/// needs an event at cycle `c ≥ FINE_WINDOWS · fine`, so the doubled
+/// width is at most `c / 64`.  Every event cycle is at most
+/// `m = max(horizon, makespan)` and the report's width is at least
+/// `⌊m / 32⌋ ≥ m / 64`: the fine width never overtakes the report's.
+pub(crate) struct WindowCounts {
+    /// log2 of the fine window width.
+    shift: u32,
+    /// `rows × FINE_WINDOWS` counts, row-major.
+    cells: Vec<u64>,
+}
+
+impl WindowCounts {
+    /// A zeroed table of `rows` rows at fine width `width` (a power of
+    /// two).
+    pub(crate) fn new(rows: usize, width: u64) -> WindowCounts {
+        debug_assert!(width.is_power_of_two());
+        WindowCounts { shift: width.trailing_zeros(), cells: vec![0; rows * FINE_WINDOWS] }
+    }
+
+    /// Counts one event of `row` at `cycle`.
+    #[inline]
+    pub(crate) fn add(&mut self, row: usize, cycle: u64) {
+        let mut f = cycle >> self.shift;
+        while f >= FINE_WINDOWS as u64 {
+            self.coarsen();
+            f = cycle >> self.shift;
+        }
+        self.cells[row * FINE_WINDOWS + f as usize] += 1;
+    }
+
+    /// Doubles the fine width, merging cells `2i` and `2i + 1` into `i`.
+    #[cold]
+    fn coarsen(&mut self) {
+        for row in self.cells.chunks_exact_mut(FINE_WINDOWS) {
+            for i in 0..FINE_WINDOWS / 2 {
+                row[i] = row[2 * i] + row[2 * i + 1];
+            }
+            row[FINE_WINDOWS / 2..].fill(0);
+        }
+        self.shift += 1;
+    }
+
+    /// The fine window width in cycles.
+    pub(crate) fn width(&self) -> u64 {
+        1 << self.shift
+    }
+
+    /// `row`'s non-empty cells as `(first cycle of the fine window,
+    /// events)`.
+    pub(crate) fn row(&self, row: usize) -> Vec<(u64, u64)> {
+        self.cells[row * FINE_WINDOWS..(row + 1) * FINE_WINDOWS]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(f, &n)| ((f as u64) << self.shift, n))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -653,8 +720,8 @@ mod tests {
         assert!(!att.latency_p99_ok && !att.attained);
     }
 
-    fn layered_report() -> NetworkReport {
-        let layer = |name: &str, precision, macs, energy_fj| crate::LayerReport {
+    fn layer(name: &str, precision: Precision, macs: u64, energy_fj: f64) -> crate::LayerReport {
+        crate::LayerReport {
             name: name.into(),
             precision,
             macs,
@@ -666,7 +733,10 @@ mod tests {
             utilization: 1.0,
             energy_fj,
             tops_per_w: 1.0,
-        };
+        }
+    }
+
+    fn layered_report() -> NetworkReport {
         NetworkReport::new(
             "mixed".into(),
             bsc_mac::MacKind::Bsc,
@@ -736,6 +806,84 @@ mod tests {
         assert_eq!(row.windows.iter().map(|w| w.macs).sum::<u64>(), 40 * 1082);
         assert_eq!(row.windows.iter().map(|w| w.shed).sum::<u64>(), 3);
         assert!(row.windows.len() > 5, "the jobs span several windows");
+    }
+
+    /// `(window, start cycle, completed, shed, macs)` of tenant `id`'s rows.
+    fn rows(acc: &SloAccountant, id: &str) -> Vec<(u64, u64, u64, u64, u64)> {
+        let report = acc.report();
+        let t = report.tenant(id).unwrap();
+        t.windows.iter().map(|w| (w.window, w.start_cycle, w.completed, w.shed, w.macs)).collect()
+    }
+
+    #[test]
+    fn window_boundary_events_land_in_the_later_window() {
+        // Windows are half-open [k*width, (k+1)*width): an event exactly
+        // on the boundary opens the next window; the last cycle of a
+        // window stays inside it.
+        let mut acc = SloAccountant::new(100);
+        acc.observe(&completed("a", 99, None));
+        acc.observe(&completed("a", 100, None));
+        acc.observe_shed(&TenantId::new("a"), "deadline_missed", 200);
+        assert_eq!(rows(&acc, "a"), vec![(0, 0, 1, 0, 0), (1, 100, 1, 0, 0), (2, 200, 0, 1, 0)]);
+    }
+
+    #[test]
+    fn empty_windows_mid_horizon_are_omitted_not_zero_filled() {
+        let mut acc = SloAccountant::new(10);
+        acc.observe(&completed("a", 5, None));
+        acc.observe(&completed("a", 95, None));
+        let windows: Vec<u64> = rows(&acc, "a").iter().map(|r| r.0).collect();
+        assert_eq!(windows, vec![0, 9], "gap windows 1..=8 must not materialize");
+    }
+
+    #[test]
+    fn horizon_shorter_than_one_window_collapses_to_window_zero() {
+        // Width longer than the whole recorded horizon: every event
+        // shares window 0 and the counts still add up.
+        let report = layered_report();
+        let tenant = TenantId::new("a");
+        let mut acc = SloAccountant::new(1_000_000);
+        for cycle in [0, 17, 999, 314_159] {
+            acc.observe_completion(&tenant, cycle, cycle, None, &report);
+        }
+        acc.observe_shed(&tenant, "deadline_missed", 999_999);
+        assert_eq!(rows(&acc, "a"), vec![(0, 0, 4, 1, 4 * 1082)]);
+    }
+
+    #[test]
+    fn zero_window_width_clamps_to_one() {
+        let mut acc = SloAccountant::new(0);
+        acc.observe(&completed("a", 5, None));
+        assert_eq!(acc.report().window_width_cycles, 1);
+        assert_eq!(rows(&acc, "a"), vec![(5, 5, 1, 0, 0)]);
+    }
+
+    #[test]
+    fn a_grouped_window_row_wraps_macs_like_repeated_observations() {
+        // Near-u64::MAX MACs per job: three jobs wrap the row's MAC sum,
+        // grouped or one by one, to the same value.
+        let report = NetworkReport::new(
+            "huge".into(),
+            bsc_mac::MacKind::Bsc,
+            2000.0,
+            vec![layer("conv", Precision::Int8, u64::MAX, 1.0)],
+        );
+        let tenant = TenantId::new("a");
+        let mut one_by_one = SloAccountant::new(100);
+        for _ in 0..3 {
+            one_by_one.observe_completion(&tenant, 150, 150, None, &report);
+        }
+        let mut grouped = SloAccountant::new(100);
+        grouped.observe_completions(CompletionGroup {
+            tenant: &tenant,
+            report: &report,
+            count: 3,
+            deadline_jobs: 0,
+            deadline_met: 0,
+            windows: &[(199, 3)],
+        });
+        assert_eq!(rows(&grouped, "a"), rows(&one_by_one, "a"));
+        assert_eq!(rows(&grouped, "a"), vec![(1, 100, 3, 0, u64::MAX - 2)]);
     }
 
     #[test]

@@ -13,14 +13,6 @@ pub fn isolate(n: &mut Netlist, bus: &Bus, enable: NodeId) -> Bus {
     bus.and_bit(n, enable)
 }
 
-/// Gates a signed bus while preserving its value when enabled: when
-/// `enable` is low the result is zero; when high it is the sign-preserving
-/// original.
-pub fn isolate_signed(n: &mut Netlist, bus: &Bus, enable: NodeId) -> Bus {
-    // Identical cell structure to `isolate`; kept separate for intent.
-    bus.and_bit(n, enable)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

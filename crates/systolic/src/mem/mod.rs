@@ -225,11 +225,6 @@ impl MemoryAwareSchedule {
     pub fn dma_bytes(&self) -> u64 {
         self.dma_load_bytes + self.dma_store_bytes
     }
-
-    /// True when the DRAM channel, not the array, limits the layer.
-    pub fn is_bandwidth_bound(&self) -> bool {
-        self.roofline == Roofline::BandwidthBound
-    }
 }
 
 /// A static floor on the DRAM traffic of `shape` in mode `p`, valid for

@@ -1,17 +1,15 @@
-//! Dimensional (labeled) metrics, a fixed-bucket quantile sketch and a
-//! virtual-clock windowed aggregator.
+//! Dimensional (labeled) counters and a fixed-bucket quantile sketch.
 //!
-//! The unlabeled [`Counter`]/[`Histogram`] handles in the parent module
-//! are process-global singletons; multi-tenant serving needs the same
-//! signals *per tenant × precision × outcome*.  A [`LabeledCounter`] /
-//! [`LabeledHistogram`] is a **family**: a named metric plus a bounded
-//! set of [`LabelSet`] points, each backed by the same cheap
-//! `Arc`-atomic handle as its unlabeled sibling.  Label sets are
-//! canonicalized (keys sorted, duplicates rejected by last-wins) at
-//! creation, and snapshots order points lexicographically, so JSON
-//! exports are byte-deterministic regardless of registration order — in
-//! particular under interleaved registration from the work-stealing
-//! pool.
+//! The unlabeled [`Counter`] handles in the parent module are
+//! process-global singletons; multi-tenant serving needs the same
+//! signals *per outcome × reason × shard*.  A [`LabeledCounter`] is a
+//! **family**: a named counter plus a bounded set of [`LabelSet`]
+//! points, each backed by the same cheap `Arc`-atomic handle as its
+//! unlabeled sibling.  Label sets are canonicalized (keys sorted,
+//! duplicates rejected by last-wins) at creation, and snapshots order
+//! points lexicographically, so JSON exports are byte-deterministic
+//! regardless of registration order — in particular under interleaved
+//! registration from the work-stealing pool.
 //!
 //! [`QuantileSketch`] is an HDR-style log-linear histogram over `u64`
 //! samples: each power-of-two octave is split into 16 linear
@@ -21,17 +19,12 @@
 //! queries return the *upper bound* of the bucket containing the rank
 //! (clamped to the observed min/max), an integer, so p50/p95/p99 land
 //! in reports without any float formatting drift.
-//!
-//! [`WindowedAggregator`] buckets labeled samples into tumbling windows
-//! of a fixed width on the engine's **virtual clock** (model cycles,
-//! not wall time).  Snapshots are sorted by `(window, labels)`, giving
-//! deterministic per-window time series for dashboards and gates.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use super::{Counter, Histogram, HistogramSnapshot};
+use super::Counter;
 
 // ---------------------------------------------------------------------------
 // Label sets
@@ -119,39 +112,6 @@ impl LabeledCounter {
     pub fn snapshot(&self) -> Vec<(LabelSet, u64)> {
         let g = self.points.lock().expect("labeled counter poisoned");
         g.iter().map(|(s, c)| (s.clone(), c.get())).collect()
-    }
-}
-
-/// A family of [`Histogram`]s keyed by [`LabelSet`].  All points share
-/// the family's bucket bounds.
-#[derive(Debug, Clone)]
-pub struct LabeledHistogram {
-    bounds: Arc<Vec<u64>>,
-    points: Arc<Mutex<BTreeMap<LabelSet, Histogram>>>,
-}
-
-impl LabeledHistogram {
-    /// An empty family whose points all use `bounds`.
-    pub fn new(bounds: &[u64]) -> Self {
-        LabeledHistogram {
-            bounds: Arc::new(bounds.to_vec()),
-            points: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The histogram at `labels`, created on first use.
-    pub fn with(&self, labels: &[(&str, &str)]) -> Histogram {
-        let set = LabelSet::new(labels);
-        let mut g = self.points.lock().expect("labeled histogram poisoned");
-        g.entry(set)
-            .or_insert_with(|| Histogram::with_bounds(&self.bounds))
-            .clone()
-    }
-
-    /// Point-in-time states, sorted lexicographically by label set.
-    pub fn snapshot(&self) -> Vec<(LabelSet, HistogramSnapshot)> {
-        let g = self.points.lock().expect("labeled histogram poisoned");
-        g.iter().map(|(s, h)| (s.clone(), h.snapshot())).collect()
     }
 }
 
@@ -305,7 +265,7 @@ impl QuantileSketch {
 pub struct SketchSnapshot {
     /// Total samples.
     pub count: u64,
-    /// Sum of samples (wrapping on overflow, like [`Histogram`]).
+    /// Sum of samples (wrapping on overflow, like [`super::Histogram`]).
     pub sum: u64,
     /// Smallest sample (0 when empty).
     pub min: u64,
@@ -317,72 +277,6 @@ pub struct SketchSnapshot {
     pub p95: u64,
     /// 99th-percentile estimate.
     pub p99: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Windowed aggregation
-// ---------------------------------------------------------------------------
-
-/// One tumbling window's accumulation for one label set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowCell {
-    /// Samples recorded in the window.
-    pub count: u64,
-    /// Sum of sample values.
-    pub sum: u64,
-}
-
-/// Tumbling-window aggregation of labeled samples on a virtual clock.
-///
-/// Samples are assigned to window `cycle / width`; there is no wall
-/// time anywhere, so the series is a pure function of the recorded
-/// `(cycle, labels, value)` stream.  Cloning shares the store.
-#[derive(Debug, Clone)]
-pub struct WindowedAggregator {
-    width: u64,
-    cells: Arc<Mutex<BTreeMap<(u64, LabelSet), WindowCell>>>,
-}
-
-impl WindowedAggregator {
-    /// An aggregator with `width_cycles`-wide windows (clamped to ≥ 1).
-    pub fn new(width_cycles: u64) -> Self {
-        WindowedAggregator {
-            width: width_cycles.max(1),
-            cells: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
-    /// The window width in cycles.
-    pub fn width_cycles(&self) -> u64 {
-        self.width
-    }
-
-    /// Records `value` at virtual-clock `cycle` under `labels`.
-    pub fn record(&self, cycle: u64, labels: &[(&str, &str)], value: u64) {
-        self.record_counted(cycle, labels, 1, value);
-    }
-
-    /// Records `count` samples at virtual-clock `cycle` under `labels`
-    /// whose values add to `sum` — exactly `count` [`record`] calls in
-    /// one cell update.
-    ///
-    /// [`record`]: WindowedAggregator::record
-    pub fn record_counted(&self, cycle: u64, labels: &[(&str, &str)], count: u64, sum: u64) {
-        let window = cycle / self.width;
-        let key = (window, LabelSet::new(labels));
-        let mut g = self.cells.lock().expect("window aggregator poisoned");
-        let cell = g.entry(key).or_default();
-        cell.count += count;
-        cell.sum = cell.sum.wrapping_add(sum);
-    }
-
-    /// The per-window series, sorted by `(window, labels)`.  Window
-    /// indices multiply back to start cycles via
-    /// [`WindowedAggregator::width_cycles`]; empty windows are omitted.
-    pub fn snapshot(&self) -> Vec<(u64, LabelSet, WindowCell)> {
-        let g = self.cells.lock().expect("window aggregator poisoned");
-        g.iter().map(|((w, s), c)| (*w, s.clone(), *c)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -413,18 +307,6 @@ mod tests {
         assert_eq!(snap[0].0.get("outcome"), Some("completed"));
         assert_eq!(snap[0].1, 1);
         assert_eq!(snap[1].1, 3);
-    }
-
-    #[test]
-    fn labeled_histograms_share_bounds_across_points() {
-        let fam = LabeledHistogram::new(&[10, 100]);
-        fam.with(&[("tenant", "a")]).record(5);
-        fam.with(&[("tenant", "b")]).record(500);
-        let snap = fam.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].1.bounds, vec![10, 100]);
-        assert_eq!(snap[0].1.buckets, vec![1, 0, 0]);
-        assert_eq!(snap[1].1.buckets, vec![0, 0, 1]);
     }
 
     #[test]
@@ -607,83 +489,5 @@ mod tests {
         let mut none = QuantileSketch::new();
         none.merge_from(&QuantileSketch::new());
         assert_eq!(none.snapshot(), SketchSnapshot::default());
-    }
-
-    #[test]
-    fn window_boundary_samples_land_in_the_later_window() {
-        // Windows are half-open [k*width, (k+1)*width): a sample exactly
-        // on the boundary opens the next window, never pads the previous.
-        let w = WindowedAggregator::new(100);
-        w.record(100, &[], 5);
-        w.record(200, &[], 7);
-        assert_eq!(
-            w.snapshot(),
-            vec![
-                (1, LabelSet::new(&[]), WindowCell { count: 1, sum: 5 }),
-                (2, LabelSet::new(&[]), WindowCell { count: 1, sum: 7 }),
-            ]
-        );
-        // The last cycle of a window stays inside it.
-        let edge = WindowedAggregator::new(100);
-        edge.record(99, &[], 1);
-        assert_eq!(edge.snapshot()[0].0, 0);
-    }
-
-    #[test]
-    fn empty_windows_mid_horizon_are_omitted_not_zero_filled() {
-        let w = WindowedAggregator::new(10);
-        w.record(5, &[], 1);
-        w.record(95, &[], 1);
-        let snap = w.snapshot();
-        assert_eq!(snap.len(), 2, "gap windows 1..=8 must not materialize");
-        assert_eq!((snap[0].0, snap[1].0), (0, 9));
-    }
-
-    #[test]
-    fn horizon_shorter_than_one_window_collapses_to_window_zero() {
-        // Width longer than the whole recorded horizon: every sample
-        // shares window 0 and the counts still add up.
-        let w = WindowedAggregator::new(1_000_000);
-        for cycle in [0, 17, 999, 314_159] {
-            w.record(cycle, &[("tenant", "a")], cycle);
-        }
-        let snap = w.snapshot();
-        assert_eq!(snap.len(), 1);
-        let (window, _, cell) = &snap[0];
-        assert_eq!(*window, 0);
-        assert_eq!(cell.count, 4);
-        assert_eq!(cell.sum, 17 + 999 + 314_159);
-    }
-
-    #[test]
-    fn windows_tumble_on_the_virtual_clock() {
-        let w = WindowedAggregator::new(100);
-        w.record(0, &[("tenant", "a")], 1);
-        w.record(99, &[("tenant", "a")], 2);
-        w.record(100, &[("tenant", "a")], 3);
-        w.record(250, &[("tenant", "b")], 4);
-        let snap = w.snapshot();
-        assert_eq!(
-            snap,
-            vec![
-                (0, LabelSet::new(&[("tenant", "a")]), WindowCell { count: 2, sum: 3 }),
-                (1, LabelSet::new(&[("tenant", "a")]), WindowCell { count: 1, sum: 3 }),
-                (2, LabelSet::new(&[("tenant", "b")]), WindowCell { count: 1, sum: 4 }),
-            ]
-        );
-        // Zero width clamps to 1 instead of dividing by zero.
-        assert_eq!(WindowedAggregator::new(0).width_cycles(), 1);
-    }
-
-    #[test]
-    fn a_counted_record_equals_repeated_records() {
-        let one_by_one = WindowedAggregator::new(100);
-        for _ in 0..3 {
-            one_by_one.record(150, &[("tenant", "a")], u64::MAX);
-        }
-        let counted = WindowedAggregator::new(100);
-        counted.record_counted(199, &[("tenant", "a")], 3, 3u64.wrapping_mul(u64::MAX));
-        assert_eq!(counted.snapshot(), one_by_one.snapshot());
-        assert_eq!(counted.snapshot()[0].2, WindowCell { count: 3, sum: u64::MAX - 2 });
     }
 }

@@ -1,4 +1,4 @@
-//! Snapshot serialization: hand-rolled JSON and CSV writers.
+//! Snapshot serialization: hand-rolled JSON writers.
 //!
 //! The workspace builds offline with zero external dependencies, so
 //! serialization is done by hand.  [`JsonBuilder`] is a small push-style
@@ -155,15 +155,6 @@ fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Escapes one CSV field (RFC 4180 quoting).
-pub fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Encodes a metrics snapshot as one JSON object with `counters`,
 /// `gauges` and `histograms` members.
 pub fn metrics_to_json(snap: &MetricsSnapshot) -> String {
@@ -198,10 +189,10 @@ fn write_histogram_object(j: &mut JsonBuilder, h: &crate::metrics::HistogramSnap
 }
 
 /// Writes the metrics object into an in-progress document (after a
-/// [`JsonBuilder::key`] or at array level).  Labeled families appear
-/// under `labeled_counters` / `labeled_histograms`, one member per point
-/// keyed `family{k=v,...}` in lexicographic label order, so the document
-/// is byte-deterministic at any registration interleaving.
+/// [`JsonBuilder::key`] or at array level).  Labeled counter families
+/// appear under `labeled_counters`, one member per point keyed
+/// `family{k=v,...}` in lexicographic label order, so the document is
+/// byte-deterministic at any registration interleaving.
 pub fn write_metrics_object(j: &mut JsonBuilder, snap: &MetricsSnapshot) {
     j.begin_object();
     j.key("counters").begin_object();
@@ -229,49 +220,7 @@ pub fn write_metrics_object(j: &mut JsonBuilder, snap: &MetricsSnapshot) {
         }
         j.end_object();
     }
-    if !snap.labeled_histograms.is_empty() {
-        j.key("labeled_histograms").begin_object();
-        for (name, points) in &snap.labeled_histograms {
-            for (labels, h) in points {
-                j.key(&format!("{name}{labels}"));
-                write_histogram_object(j, h);
-            }
-        }
-        j.end_object();
-    }
     j.end_object();
-}
-
-/// Encodes a metrics snapshot as CSV rows `kind,name,value` (histograms
-/// contribute `count`/`sum`/`min`/`max` rows).
-pub fn metrics_to_csv(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("kind,name,value\n");
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("counter,{},{v}\n", csv_field(name)));
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("gauge,{},{v}\n", csv_field(name)));
-    }
-    for (name, h) in &snap.histograms {
-        let n = csv_field(name);
-        out.push_str(&format!("histogram_count,{n},{}\n", h.count));
-        out.push_str(&format!("histogram_sum,{n},{}\n", h.sum));
-        out.push_str(&format!("histogram_min,{n},{}\n", h.min));
-        out.push_str(&format!("histogram_max,{n},{}\n", h.max));
-    }
-    for (name, points) in &snap.labeled_counters {
-        for (labels, v) in points {
-            out.push_str(&format!("labeled_counter,{},{v}\n", csv_field(&format!("{name}{labels}"))));
-        }
-    }
-    for (name, points) in &snap.labeled_histograms {
-        for (labels, h) in points {
-            let n = csv_field(&format!("{name}{labels}"));
-            out.push_str(&format!("labeled_histogram_count,{n},{}\n", h.count));
-            out.push_str(&format!("labeled_histogram_sum,{n},{}\n", h.sum));
-        }
-    }
-    out
 }
 
 /// Writes one trace event as a JSON object (after a key or at array level).
@@ -330,38 +279,6 @@ pub fn trace_to_json(snap: &TraceSnapshot) -> String {
     j.finish()
 }
 
-/// Encodes a trace snapshot as CSV with a fixed superset of columns;
-/// fields that do not apply to an event kind are left empty.
-pub fn trace_to_csv(snap: &TraceSnapshot) -> String {
-    let mut out =
-        String::from("kind,cycle,pe,row,macs,layer,pass,rows,cols,inner,elems,bits,dur,bytes,store\n");
-    for ev in &snap.events {
-        let row = match *ev {
-            TraceEvent::PeFired { cycle, pe, row, macs } => {
-                format!("pe_fired,{cycle},{pe},{row},{macs},,,,,,,,,,")
-            }
-            TraceEvent::VectorStall { cycle, pe } => {
-                format!("vector_stall,{cycle},{pe},,,,,,,,,,,,")
-            }
-            TraceEvent::TileStart { layer, pass, rows, cols, inner } => {
-                format!("tile_start,,,,,{layer},{pass},{rows},{cols},{inner},,,,,")
-            }
-            TraceEvent::WeightLoad { cycle, pe, elems } => {
-                format!("weight_load,{cycle},{pe},,,,,,,,{elems},,,,")
-            }
-            TraceEvent::ModeSet { bits } => {
-                format!("mode_set,,,,,,,,,,,{bits},,,")
-            }
-            TraceEvent::Dma { cycle, cycles, bytes, store } => {
-                format!("dma,{cycle},,,,,,,,,,,{cycles},{bytes},{}", store as u8)
-            }
-        };
-        out.push_str(&row);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +321,6 @@ mod tests {
         let jobs = reg.labeled_counter("engine.jobs");
         jobs.with(&[("outcome", "shed"), ("reason", "deadline_missed")]).inc();
         jobs.with(&[("outcome", "completed")]).add(3);
-        reg.labeled_histogram("lat", &[10]).with(&[("tenant", "b")]).record(7);
         let json = metrics_to_json(&reg.snapshot());
         assert!(
             json.contains(r#""engine.jobs{outcome=completed}":3"#),
@@ -414,24 +330,11 @@ mod tests {
             json.contains(r#""engine.jobs{outcome=shed,reason=deadline_missed}":1"#),
             "{json}"
         );
-        assert!(json.contains(r#""lat{tenant=b}""#), "{json}");
         // completed sorts before shed: canonical lexicographic order.
         let completed = json.find("outcome=completed").unwrap();
         let shed = json.find("outcome=shed").unwrap();
         assert!(completed < shed);
         assert!(crate::json::parse_json(&json).is_ok(), "{json}");
-        let csv = metrics_to_csv(&reg.snapshot());
-        assert!(csv.contains("labeled_counter,"), "{csv}");
-    }
-
-    #[test]
-    fn metrics_csv_has_header_and_rows() {
-        let reg = Registry::new();
-        reg.counter("x").inc();
-        let csv = metrics_to_csv(&reg.snapshot());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "kind,name,value");
-        assert_eq!(lines[1], "counter,x,1");
     }
 
     #[test]
@@ -454,25 +357,6 @@ mod tests {
         assert!(json.contains(r#""bits":4"#));
         assert!(json.contains(r#""bytes":256"#));
         assert!(json.contains(r#""store":true"#));
-        let csv = trace_to_csv(&snap);
-        assert_eq!(csv.lines().count(), 7);
-        assert!(csv.lines().nth(1).unwrap().starts_with("pe_fired,1,2,3,4"));
-        assert_eq!(csv.lines().nth(5).unwrap(), "mode_set,,,,,,,,,,,4,,,");
-        assert_eq!(csv.lines().nth(6).unwrap(), "dma,9,,,,,,,,,,,12,256,1");
-        // Every row carries the full fixed column set.
-        let cols = csv.lines().next().unwrap().split(',').count();
-        for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), cols, "{line}");
-        }
-    }
-
-    #[test]
-    fn csv_fields_are_quoted_when_needed() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_field("two\nlines"), "\"two\nlines\"");
-        assert_eq!(csv_field(""), "");
     }
 
     #[test]

@@ -219,6 +219,14 @@ cargo run --release --offline -q -p bsc-bench --bin repro -- \
 [ $? -eq 2 ] || { echo "missing flag value must exit 2"; exit 1; }
 cargo run --release --offline -q -p bsc-bench --bin repro -- serve >/dev/null 2>&1
 [ $? -eq 2 ] || { echo "serve without a manifest must exit 2"; exit 1; }
+# Figure subcommands are strict too, and reject a foreign flag before
+# characterizing anything.
+err="$(cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    fig9 --report-out "$out/nope.json" 2>&1 >/dev/null)"
+[ $? -eq 2 ] || { echo "fig9: out-of-place flag must exit 2"; exit 1; }
+case "$err" in
+    *characterizing*) echo "fig9: flag check must precede characterization"; exit 1 ;;
+esac
 set -e
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$out/online_report.json" "$out/online_slo.json" \
