@@ -11,14 +11,15 @@
 //! order of a single [`crate::des::EventQueue`]:
 //!
 //! 1. **Arrival** at cycle *t*: the [`DispatchPolicy`] picks a shard,
-//!    then the engine's admission ladder runs against that shard —
-//!    outstanding-job cap (`queue_full`), backlog limit (`overloaded`),
-//!    and the DMA-aware deadline lower bound
-//!    (`deadline_infeasible`, [`crate::Engine::estimate_cycles`]
-//!    semantics).  Survivors get the shard's *exact* stall-inclusive
-//!    schedule; if even that misses the absolute deadline
-//!    (`arrival + relative deadline`) the job is shed at *t* without
-//!    occupying the shard.  Dispatched jobs advance the shard's
+//!    then the batch engine's admission ladder runs against that shard,
+//!    on its backlog `busy_until − t` plus the job's DMA-aware estimate
+//!    ([`crate::Engine::estimate_cycles`] semantics): outstanding-job
+//!    cap (`queue_full`), backlog limit (`overloaded`), deadline lower
+//!    bound (`deadline_infeasible`).  Survivors get the shard's *exact*
+//!    stall-inclusive schedule; if even that misses the absolute
+//!    deadline (`arrival + relative deadline`) the job is shed at *t*
+//!    without occupying the shard (the batch engine's shed check, run
+//!    at the arrival cycle).  Dispatched jobs advance the shard's
 //!    busy-until clock and enqueue a completion event.
 //! 2. **Completion** at cycle *c*: the shard's outstanding count drops;
 //!    at equal times completions precede arrivals
@@ -51,8 +52,9 @@ use bsc_telemetry::{HistogramSnapshot, QuantileSketch, Registry, Telemetry};
 
 use crate::des::{ArrivalGen, ArrivalHeads, ArrivalProcess, CompletionLanes};
 use crate::engine::{
-    estimate_cycles_for, evaluate_distinct, schedule_cycles_for, CharacterizationCache,
-    Evaluation, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES, REJECT_SLUGS, SHED_SLUG,
+    admit, estimate_cycles_for, evaluate_distinct, schedule_cycles_for, schedule_or_shed,
+    CharacterizationCache, Evaluation, PrecisionPolicy, QUEUE_WAIT_BOUNDS_CYCLES, REJECT_SLUGS,
+    SHED_SLUG,
 };
 use crate::slo::{
     quantize_energy_fj, window_width_for_horizon, CompletionGroup, SloAccountant, SloReport,
@@ -157,8 +159,9 @@ pub struct OnlineConfig {
     /// Per-shard cap on dispatched-but-incomplete jobs; the `queue_full`
     /// rejection.
     pub max_outstanding: u64,
-    /// Per-shard backlog limit in cycles (`busy_until − now`); the
-    /// `overloaded` rejection.  `None` disables the check.
+    /// Per-shard backlog limit in cycles: an arrival is rejected as
+    /// `overloaded` when the shard's backlog (`busy_until − now`) plus
+    /// the job's estimate would pass it.  `None` disables the check.
     pub max_backlog_cycles: Option<u64>,
     /// Cap on retained per-job decision records.  Decisions beyond the
     /// cap are dropped from [`OnlineReport::events`], counted in
@@ -245,7 +248,8 @@ pub struct ShardFunnel {
     pub offered: u64,
     /// Stopped by the outstanding-job cap.
     pub queue_full: u64,
-    /// Stopped by the backlog limit.
+    /// Stopped by the backlog limit: the shard's backlog plus the job's
+    /// estimate would pass `max_backlog_cycles`.
     pub overloaded: u64,
     /// Stopped by the DMA-aware deadline lower bound.
     pub deadline_infeasible: u64,
@@ -856,38 +860,32 @@ pub fn run_online_profiled(
         let f = &mut funnel[hi];
         f.offered += 1;
 
-        // The admission ladder counts the rung that stops the job and
-        // yields its reject slot (`RejectReason::slot`).
-        let reject = if shards[hi].outstanding >= config.max_outstanding {
-            f.queue_full += 1;
-            Some(0)
-        } else if config.max_backlog_cycles.is_some_and(|limit| backlog > limit) {
-            f.overloaded += 1;
-            Some(1)
-        } else if tmpl
-            .deadline_cycles
-            .is_some_and(|d| backlog.saturating_add(estimate[pair]) > d)
-        {
-            f.deadline_infeasible += 1;
-            Some(2)
-        } else {
-            None
-        };
-        let (outcome, reason, start, completion) = if let Some(slot) = reject {
-            reject_counts[source * REJECT_SLUGS.len() + slot] += 1;
-            ("rejected", Some(REJECT_SLUGS[slot]), now, now)
-        } else {
-            let cycles = exact[pair];
-            let start = shards[hi].busy_until.max(now);
-            // Both adds saturate: a completion or absolute deadline past
-            // `u64::MAX` pins there instead of wrapping into the past.
-            let completion = start.saturating_add(cycles);
-            if tmpl.deadline_cycles.is_some_and(|d| completion > now.saturating_add(d)) {
+        // The engine's admission ladder, against this shard, then its
+        // exact-schedule shed check; the funnel counts the rung that
+        // stops the job by its slot.
+        let decision = admit(
+            shards[hi].outstanding,
+            config.max_outstanding,
+            backlog,
+            estimate[pair],
+            config.max_backlog_cycles,
+            tmpl.deadline_cycles,
+        )
+        .map(|_| schedule_or_shed(shards[hi].busy_until, now, exact[pair], tmpl.deadline_cycles));
+        let (outcome, reason, start, completion) = match decision {
+            Err(rejected) => {
+                let slot = rejected.slot();
+                *[&mut f.queue_full, &mut f.overloaded, &mut f.deadline_infeasible][slot] += 1;
+                reject_counts[source * REJECT_SLUGS.len() + slot] += 1;
+                ("rejected", Some(REJECT_SLUGS[slot]), now, now)
+            }
+            Ok(Err(_shed)) => {
                 f.shed_deadline += 1;
                 shed_counts[source] += 1;
                 window_counts.add(n_pairs + source, now);
                 ("shed", Some(SHED_SLUG), now, now)
-            } else {
+            }
+            Ok(Ok((start, completion))) => {
                 // Dispatch.
                 let st = &mut shards[hi];
                 st.busy_until = completion;
@@ -895,7 +893,7 @@ pub fn run_online_profiled(
                 st.peak_outstanding = st.peak_outstanding.max(st.outstanding);
                 st.peak_backlog_cycles = st.peak_backlog_cycles.max(completion - now);
                 f.dispatched += 1;
-                tenant_cycles[pair] += cycles;
+                tenant_cycles[pair] += exact[pair];
                 wait.record(start - now);
                 lanes.push(hi, completion);
                 if pair_completed[pair] == 0 {
@@ -1141,18 +1139,9 @@ pub fn run_online_profiled(
 mod tests {
     use super::*;
     use crate::des::ArrivalProcess;
+    use crate::engine::tests::toy_net;
     use bsc_mac::Precision;
-    use bsc_nn::{Layer, LayerKind, Network};
     use std::collections::BTreeMap;
-
-    fn toy_net(name: &str, fan_in: usize, fan_out: usize, p: Precision) -> SharedNetwork {
-        Network {
-            name: name.into(),
-            dataset: "unit".into(),
-            layers: vec![Layer::new("fc", LayerKind::Fc { fan_in, fan_out }, p)],
-        }
-        .into_shared()
-    }
 
     fn quick_shards() -> Vec<ShardSpec> {
         [MacKind::Bsc, MacKind::Lpc, MacKind::Hps]
@@ -1441,6 +1430,28 @@ mod tests {
             .rejected_by_reason
             .iter()
             .any(|(slug, n)| slug == "deadline_infeasible" && *n == gold.rejected));
+    }
+
+    #[test]
+    fn an_estimate_that_carries_the_backlog_past_the_limit_is_overloaded() {
+        let mut config = quick_config(DispatchPolicy::LeastOutstanding, Some(1));
+        config.shards.truncate(1);
+        config.sources.truncate(1);
+        config.sources[0].template.deadline_cycles = None;
+        let tmpl = &config.sources[0].template;
+        let estimate =
+            estimate_cycles_for(&config.shards[0].accel, &tmpl.precision.apply(&tmpl.network));
+        // The first arrival meets an idle shard: backlog 0 ≤ limit <
+        // 0 + estimate, so the backlog alone would pass the limit.
+        config.max_backlog_cycles = Some(estimate - 1);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        let first = &report.events[0];
+        assert_eq!((first.outcome, first.reason), ("rejected", Some("overloaded")));
+        assert_eq!(report.funnel[0].overloaded, report.submitted);
+        // A projected backlog equal to the limit is admitted.
+        config.max_backlog_cycles = Some(estimate);
+        let report = run_online(&config, &Telemetry::metrics_only()).unwrap();
+        assert_eq!(report.events[0].outcome, "completed");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   every engine, accelerator and test in the binary;
 //! * [`InferenceJob`]s (an [`Arc`]-shared network + a
 //!   [`PrecisionPolicy`] + an optional deadline in model cycles) are
-//!   admitted into a [`BoundedQueue`] — a full queue *rejects with a
-//!   reason* instead of growing without bound;
-//! * admission is deadline-aware: a job whose optimistic completion
-//!   already misses its deadline is rejected up front, and a configured
-//!   backlog limit sheds load before the array is hopelessly behind;
+//!   admitted through the admission ladder the online cluster shares — a
+//!   full queue *rejects with a reason* instead of growing without
+//!   bound, a configured backlog limit sheds load before the array is
+//!   hopelessly behind, and a job whose optimistic completion already
+//!   misses its deadline is rejected up front;
 //! * [`Engine::run_batch`] evaluates each distinct (network, precision
 //!   policy) of the admitted jobs once over the `bsc_netlist::par`
 //!   work-stealing pool and merges per-job [`JobReport`]s **in submission
@@ -37,7 +37,6 @@ use bsc_nn::{Network, SharedNetwork};
 use bsc_systolic::mem::schedule_conv_with_memory;
 use bsc_telemetry::Telemetry;
 
-use crate::queue::BoundedQueue;
 use crate::report::NetworkReport;
 use crate::slo::{window_width_for_horizon, SloAccountant, SloReport, SloTarget, TenantId};
 use crate::{layer_to_conv_shape, AccelError, Accelerator, AcceleratorConfig};
@@ -327,7 +326,7 @@ pub(crate) const SHED_SLUG: &str = "deadline_missed";
 
 impl RejectReason {
     /// The reason's admission-ladder slot, the index of its slug in
-    /// [`REJECT_SLUGS`]: the order the online ladder tests its rungs in.
+    /// [`REJECT_SLUGS`]: the order [`admit`] tests its rungs in.
     pub(crate) fn slot(&self) -> usize {
         match self {
             RejectReason::QueueFull { .. } => 0,
@@ -570,7 +569,7 @@ impl EngineConfig {
     }
 }
 
-/// An admitted job waiting in the bounded queue.
+/// An admitted job waiting in the engine's queue.
 #[derive(Debug)]
 struct Admitted {
     slot: usize,
@@ -589,7 +588,8 @@ struct Admitted {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     outcomes: Vec<JobOutcome>,
-    /// High-water mark of the admission queue during this batch.
+    /// High-water mark of the admission queue over the engine's lifetime
+    /// (never above its capacity).
     pub peak_queue_depth: usize,
     /// Per-tenant SLO accounting folded from the outcomes (latency
     /// sketches, shed/reject rates, goodput, attainment, fJ-exact
@@ -727,6 +727,63 @@ pub(crate) fn schedule_cycles_for(
     Ok(cycles)
 }
 
+/// The admission ladder batch and online serving share: a job with an
+/// optimistic run estimate of `estimate` cycles, behind `backlog`
+/// cycles of work, at `occupancy` of `capacity` jobs, is rejected as
+/// `queue_full` (`occupancy ≥ capacity`), else `overloaded` (`backlog +
+/// estimate > limit`), else `deadline_infeasible` (`backlog + estimate
+/// > deadline`); otherwise admitted with that projected backlog.  The
+/// sum saturates, so a huge backlog is refused, never wrapped into an
+/// admit.  Batch passes its queue and the summed estimates of the queued
+/// jobs with absolute deadlines, online a shard's outstanding jobs and
+/// `busy_until − now` with relative ones.
+#[inline]
+pub(crate) fn admit(
+    occupancy: u64,
+    capacity: u64,
+    backlog: u64,
+    estimate: u64,
+    limit: Option<u64>,
+    deadline: Option<u64>,
+) -> Result<u64, RejectReason> {
+    if occupancy >= capacity {
+        let capacity = usize::try_from(capacity).unwrap_or(usize::MAX);
+        return Err(RejectReason::QueueFull { capacity });
+    }
+    let projected = backlog.saturating_add(estimate);
+    if let Some(limit_cycles) = limit.filter(|&l| projected > l) {
+        return Err(RejectReason::Overloaded { backlog_cycles: projected, limit_cycles });
+    }
+    if let Some(deadline_cycles) = deadline.filter(|&d| projected > d) {
+        return Err(RejectReason::DeadlineInfeasible {
+            projected_cycles: projected,
+            deadline_cycles,
+        });
+    }
+    Ok(projected)
+}
+
+/// The exact-schedule shed check batch (at `now = 0`) and online (at
+/// arrival) share: an admitted job starts at `max(busy_until, now)`, runs
+/// `exact` cycles, and is shed when that completion passes `now +
+/// deadline`.  Returns the start and completion; both sums saturate.
+#[inline]
+pub(crate) fn schedule_or_shed(
+    busy_until: u64,
+    now: u64,
+    exact: u64,
+    deadline: Option<u64>,
+) -> Result<(u64, u64), ShedReason> {
+    let start = busy_until.max(now);
+    let completion = start.saturating_add(exact);
+    match deadline.map(|d| now.saturating_add(d)) {
+        Some(deadline_cycles) if completion > deadline_cycles => {
+            Err(ShedReason::DeadlineMissed { completion_cycle: completion, deadline_cycles })
+        }
+        _ => Ok((start, completion)),
+    }
+}
+
 /// One network evaluation of the serving evaluation phase.
 pub(crate) struct Evaluation<'a> {
     /// The accelerator the network runs on.
@@ -748,9 +805,11 @@ pub(crate) struct Evaluation<'a> {
 /// same network on the same accelerator.  Returns one report per
 /// distinct key, in first-occurrence order, and for each item the index
 /// of its key's report.  Results merge by index, so they never depend on
-/// the worker count.  With a `telemetry` hub attached, each evaluation
-/// runs under one `engine.job.<name>` span and counts into the hub's
-/// accelerator metrics.
+/// the worker count.  With a `traced` hub and parent span attached, each
+/// evaluation runs under one `engine.job.<name>` span opened as a child
+/// of that parent — named explicitly, because the collector's cursor is
+/// shared by the pool workers and would make the parent a matter of
+/// thread timing — and counts into the hub's accelerator metrics.
 ///
 /// # Errors
 ///
@@ -758,7 +817,7 @@ pub(crate) struct Evaluation<'a> {
 pub(crate) fn evaluate_distinct<'a, K: PartialEq>(
     keys: &[K],
     workers: Option<usize>,
-    telemetry: Option<&Telemetry>,
+    traced: Option<(&Telemetry, u64)>,
     evaluation: impl Fn(usize) -> Evaluation<'a> + Sync,
 ) -> Result<(Vec<NetworkReport>, Vec<usize>), AccelError> {
     let mut firsts: Vec<usize> = Vec::new();
@@ -776,9 +835,9 @@ pub(crate) fn evaluate_distinct<'a, K: PartialEq>(
         let e = evaluation(firsts[k]);
         let mut accel =
             Accelerator::with_shared_characterization(e.accel.clone(), Arc::clone(e.charac));
-        let _span = telemetry.map(|tel| {
+        let _span = traced.map(|(tel, parent)| {
             accel.attach_telemetry(tel.clone());
-            let g = tel.spans.begin(&format!("engine.job.{}", e.name));
+            let g = tel.spans.begin_under(parent, &format!("engine.job.{}", e.name));
             g.annotate("network", &e.network.name);
             g
         });
@@ -793,7 +852,11 @@ pub(crate) fn evaluate_distinct<'a, K: PartialEq>(
 pub struct Engine {
     config: EngineConfig,
     charac: Arc<DesignCharacterization>,
-    queue: BoundedQueue<Admitted>,
+    /// Admitted jobs waiting for the next batch, in submission order;
+    /// [`admit`] keeps it within `queue_capacity`.
+    queue: Vec<Admitted>,
+    /// Deepest the queue has been over the engine's lifetime.
+    peak_queue_depth: usize,
     /// One terminal outcome per submission since the last batch; `None`
     /// while the job waits in the queue.
     slots: Vec<Option<JobOutcome>>,
@@ -834,18 +897,21 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the characterization's architecture differs from the
-    /// configured MAC kind.
+    /// configured MAC kind, or on a zero queue capacity — an engine that
+    /// can never admit anything is a configuration error, not a useful
+    /// degenerate case.
     pub fn with_design(config: EngineConfig, charac: Arc<DesignCharacterization>) -> Self {
         assert_eq!(
             charac.kind(),
             config.accel.kind,
             "characterization architecture mismatch"
         );
-        let queue = BoundedQueue::new(config.queue_capacity);
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
         Engine {
             config,
             charac,
-            queue,
+            queue: Vec::new(),
+            peak_queue_depth: 0,
             slots: Vec::new(),
             backlog_cycles: 0,
             slo_targets: std::collections::BTreeMap::new(),
@@ -875,27 +941,13 @@ impl Engine {
         self.telemetry = telemetry;
     }
 
-    /// Current estimated backlog of admitted-but-unrun work in cycles.
-    pub fn backlog_cycles(&self) -> u64 {
-        self.backlog_cycles
-    }
-
-    /// Number of jobs waiting in the admission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The optimistic cycle estimate admission uses: per layer, the
     /// larger of the compute floor (all MACs at peak MACs/cycle) and the
     /// DMA floor (the layer's minimum DRAM traffic through the configured
     /// channel — [`bsc_systolic::mem::dma_cycles_lower_bound`]).  Both
-    /// floors are proven lower bounds on the stall-inclusive
+    /// floors are lower bounds on the stall-inclusive
     /// [`Engine::schedule_cycles`], so admission never rejects a feasible
-    /// job; but unlike the old compute-only bound it *does* reject jobs
-    /// whose DRAM traffic alone already overruns the deadline under a
-    /// finite [`bsc_systolic::MemConfig`], instead of admitting them and
-    /// shedding at execution.  With the default infinite hierarchy the
-    /// DMA floor is zero and the estimate is unchanged.
+    /// job.  With the default infinite hierarchy the DMA floor is zero.
     pub fn estimate_cycles(&self, net: &Network) -> u64 {
         estimate_cycles_for(&self.config.accel, net)
     }
@@ -914,10 +966,11 @@ impl Engine {
         schedule_cycles_for(&self.config.accel, net)
     }
 
-    /// Admits a job into the bounded queue, or rejects it with a reason.
-    /// Either way the decision is recorded and reappears in the next
-    /// [`Engine::run_batch`]'s outcomes, so every submission has exactly
-    /// one terminal state.
+    /// Admits a job into the queue, or rejects it with a reason (the
+    /// [`admit`] ladder against the queue length and the summed estimates
+    /// of the queued jobs).  Either way the decision is recorded and
+    /// reappears in the next [`Engine::run_batch`]'s outcomes, so every
+    /// submission has exactly one terminal state.
     ///
     /// # Errors
     ///
@@ -929,42 +982,30 @@ impl Engine {
         if let Some(target) = job.slo {
             self.slo_targets.insert(job.tenant.clone(), target);
         }
-        let reject = |this: &mut Self, name: String, tenant: TenantId, reason: RejectReason| {
-            this.telemetry.metrics.counter("engine.jobs.rejected").inc();
-            this.telemetry
-                .metrics
-                .labeled_counter("engine.jobs")
-                .with(&[("outcome", "rejected"), ("reason", reason.slug())])
-                .inc();
-            this.slots.push(Some(JobOutcome::Rejected { name, tenant, reason }));
-            Err(reason)
+        let network = job.policy.apply(&job.network);
+        let admitted = admit(
+            self.queue.len() as u64,
+            self.config.queue_capacity as u64,
+            self.backlog_cycles,
+            self.estimate_cycles(&network),
+            self.config.max_backlog_cycles,
+            job.deadline_cycles,
+        );
+        let projected = match admitted {
+            Ok(projected) => projected,
+            Err(reason) => {
+                let m = &self.telemetry.metrics;
+                m.counter("engine.jobs.rejected").inc();
+                m.labeled_counter("engine.jobs")
+                    .with(&[("outcome", "rejected"), ("reason", reason.slug())])
+                    .inc();
+                let (name, tenant) = (job.name, job.tenant);
+                self.slots.push(Some(JobOutcome::Rejected { name, tenant, reason }));
+                return Err(reason);
+            }
         };
 
-        if self.queue.len() >= self.queue.capacity() {
-            let reason = RejectReason::QueueFull { capacity: self.queue.capacity() };
-            return reject(self, job.name, job.tenant, reason);
-        }
-        let network = job.policy.apply(&job.network);
-        let est = self.estimate_cycles(&network);
-        let projected = self.backlog_cycles + est;
-        if let Some(limit) = self.config.max_backlog_cycles {
-            if projected > limit {
-                let reason =
-                    RejectReason::Overloaded { backlog_cycles: projected, limit_cycles: limit };
-                return reject(self, job.name, job.tenant, reason);
-            }
-        }
-        if let Some(deadline) = job.deadline_cycles {
-            if projected > deadline {
-                let reason = RejectReason::DeadlineInfeasible {
-                    projected_cycles: projected,
-                    deadline_cycles: deadline,
-                };
-                return reject(self, job.name, job.tenant, reason);
-            }
-        }
-
-        let admitted = Admitted {
+        self.queue.push(Admitted {
             slot,
             name: job.name,
             tenant: job.tenant,
@@ -972,16 +1013,14 @@ impl Engine {
             policy: job.policy,
             network,
             deadline_cycles: job.deadline_cycles,
-        };
-        if self.queue.push(admitted).is_err() {
-            unreachable!("capacity checked above");
-        }
+        });
+        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
         self.slots.push(None);
         self.backlog_cycles = projected;
         let m = &self.telemetry.metrics;
         m.counter("engine.jobs.admitted").inc();
         m.gauge("engine.queue.depth").set(self.queue.len() as i64);
-        m.gauge("engine.queue.peak_depth").set(self.queue.peak_depth() as i64);
+        m.gauge("engine.queue.peak_depth").set(self.peak_queue_depth as i64);
         m.gauge("engine.backlog_cycles").set(self.backlog_cycles as i64);
         Ok(slot)
     }
@@ -1006,14 +1045,10 @@ impl Engine {
     /// (the batch is abandoned; admission state is still consumed).
     pub fn run_batch(&mut self) -> Result<BatchReport, AccelError> {
         let _wall = self.telemetry.metrics.timer("engine.run_batch_ns");
-        let _span = {
-            let g = self.telemetry.spans.begin("engine.run_batch");
-            g.annotate("queued", self.queue.len());
-            g
-        };
+        let span = self.telemetry.spans.begin("engine.run_batch");
+        span.annotate("queued", self.queue.len());
         let mut slots = std::mem::take(&mut self.slots);
-        let queued: Vec<Admitted> = self.queue.drain().collect();
-        let peak_queue_depth = self.queue.peak_depth();
+        let queued = std::mem::take(&mut self.queue);
         self.backlog_cycles = 0;
         let m = &self.telemetry.metrics;
         m.gauge("engine.queue.depth").set(0);
@@ -1032,28 +1067,23 @@ impl Engine {
         let mut plan = Vec::with_capacity(queued.len());
         let mut busy_until = 0u64;
         for job in queued {
-            let completion = busy_until + self.schedule_cycles(&job.network)?;
-            if let Some(deadline) = job.deadline_cycles {
-                if completion > deadline {
-                    let reason = ShedReason::DeadlineMissed {
-                        completion_cycle: completion,
-                        deadline_cycles: deadline,
-                    };
+            let exact = self.schedule_cycles(&job.network)?;
+            match schedule_or_shed(busy_until, 0, exact, job.deadline_cycles) {
+                Ok((start_cycle, completion_cycle)) => {
+                    m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES)
+                        .record(start_cycle);
+                    plan.push(Planned { job, start_cycle, completion_cycle });
+                    busy_until = completion_cycle;
+                }
+                Err(reason) => {
                     m.counter("engine.jobs.shed").inc();
                     m.labeled_counter("engine.jobs")
                         .with(&[("outcome", "shed"), ("reason", reason.slug())])
                         .inc();
-                    slots[job.slot] = Some(JobOutcome::Shed {
-                        name: job.name,
-                        tenant: job.tenant,
-                        reason,
-                    });
-                    continue;
+                    slots[job.slot] =
+                        Some(JobOutcome::Shed { name: job.name, tenant: job.tenant, reason });
                 }
             }
-            m.histogram("engine.queue.wait_cycles", QUEUE_WAIT_BOUNDS_CYCLES).record(busy_until);
-            plan.push(Planned { job, start_cycle: busy_until, completion_cycle: completion });
-            busy_until = completion;
         }
 
         // Evaluation: one run_network per distinct (submitted network,
@@ -1063,8 +1093,11 @@ impl Engine {
         // address would never repeat.
         let keys: Vec<_> =
             plan.iter().map(|p| (Arc::as_ptr(&p.job.submitted), p.job.policy)).collect();
+        // Every job span opens under this batch's span, which is read
+        // here, before the fan-out.
+        let traced = Some((&self.telemetry, span.id()));
         let (reports, index) =
-            evaluate_distinct(&keys, self.config.workers, Some(&self.telemetry), |i| Evaluation {
+            evaluate_distinct(&keys, self.config.workers, traced, |i| Evaluation {
                 accel: &self.config.accel,
                 charac: &self.charac,
                 network: &plan[i].job.network,
@@ -1121,6 +1154,7 @@ impl Engine {
             .metrics
             .counter("engine.slo.observations")
             .add(accountant.observations());
+        let peak_queue_depth = self.peak_queue_depth;
         Ok(BatchReport { outcomes, peak_queue_depth, slo: accountant.report() })
     }
 
@@ -1140,11 +1174,12 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bsc_nn::{Layer, LayerKind};
 
-    fn toy_net(name: &str, fan_in: usize, fan_out: usize, p: Precision) -> SharedNetwork {
+    /// A one-layer fully connected network for serving tests.
+    pub(crate) fn toy_net(name: &str, fan_in: usize, fan_out: usize, p: Precision) -> SharedNetwork {
         Network {
             name: name.into(),
             dataset: "synthetic".into(),
@@ -1169,16 +1204,75 @@ mod tests {
     }
 
     #[test]
-    fn reject_reasons_map_to_their_ladder_slots_and_slugs() {
-        let reasons = [
-            RejectReason::QueueFull { capacity: 1 },
-            RejectReason::Overloaded { backlog_cycles: 2, limit_cycles: 1 },
-            RejectReason::DeadlineInfeasible { projected_cycles: 2, deadline_cycles: 1 },
+    fn admission_ladder_boundaries_precedence_and_saturation() {
+        // Each rung's reason names its ladder slot and slug.
+        let full = admit(1, 1, 0, 0, None, None).unwrap_err();
+        let over = admit(0, 1, 0, 2, Some(1), None).unwrap_err();
+        let late = admit(0, 1, 0, 2, None, Some(1)).unwrap_err();
+        assert_eq!([full, over, late].map(|r| r.slot()), [0, 1, 2]);
+        assert_eq!(
+            [full, over, late].map(|r| r.slug()),
+            ["queue_full", "overloaded", "deadline_infeasible"]
+        );
+
+        use RejectReason::{DeadlineInfeasible, Overloaded, QueueFull};
+        const MAX: u64 = u64::MAX;
+        // (occupancy, capacity, backlog, estimate, limit, deadline) → decision
+        #[rustfmt::skip]
+        let cases = [
+            // Boundaries: a projected backlog equal to the limit or the
+            // deadline is admitted, one cycle more is not.
+            ((0, 1, 10, 5, Some(15), None), Ok(15)),
+            ((0, 1, 10, 6, Some(15), None), Err(Overloaded { backlog_cycles: 16, limit_cycles: 15 })),
+            ((0, 1, 10, 5, None, Some(15)), Ok(15)),
+            ((0, 1, 10, 6, None, Some(15)),
+                Err(DeadlineInfeasible { projected_cycles: 16, deadline_cycles: 15 })),
+            ((1, 2, 0, 0, None, None), Ok(0)),
+            ((2, 2, 0, 0, None, None), Err(QueueFull { capacity: 2 })),
+            // Precedence: queue_full, then overloaded, then
+            // deadline_infeasible; the backlog alone never decides.
+            ((2, 2, 10, 6, Some(15), Some(15)), Err(QueueFull { capacity: 2 })),
+            ((0, 1, 10, 6, Some(15), Some(15)), Err(Overloaded { backlog_cycles: 16, limit_cycles: 15 })),
+            ((0, 1, 10, 6, Some(16), Some(15)),
+                Err(DeadlineInfeasible { projected_cycles: 16, deadline_cycles: 15 })),
+            ((0, 1, 15, 1, Some(15), None), Err(Overloaded { backlog_cycles: 16, limit_cycles: 15 })),
+            // Saturation: a backlog near `u64::MAX` pins at `u64::MAX`
+            // instead of wrapping into a small, admissible sum.
+            ((0, 1, MAX - 1, 5, Some(100), None),
+                Err(Overloaded { backlog_cycles: MAX, limit_cycles: 100 })),
+            ((0, 1, MAX, MAX, None, Some(100)),
+                Err(DeadlineInfeasible { projected_cycles: MAX, deadline_cycles: 100 })),
+            ((0, 1, MAX - 1, 5, Some(MAX), None), Ok(MAX)),
+            ((MAX, MAX, 0, 0, None, None), Err(QueueFull { capacity: usize::MAX })),
         ];
-        assert_eq!(reasons.map(|r| r.slot()), [0, 1, 2]);
-        assert_eq!(reasons.map(|r| r.slug()), ["queue_full", "overloaded", "deadline_infeasible"]);
-        let shed = ShedReason::DeadlineMissed { completion_cycle: 2, deadline_cycles: 1 };
-        assert_eq!(shed.slug(), "deadline_missed");
+        for ((occupancy, capacity, backlog, estimate, limit, deadline), want) in cases {
+            assert_eq!(
+                admit(occupancy, capacity, backlog, estimate, limit, deadline),
+                want,
+                "admit({occupancy}, {capacity}, {backlog}, {estimate}, {limit:?}, {deadline:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_schedule_sheds_past_the_deadline_and_saturates() {
+        let missed = |completion_cycle, deadline_cycles| {
+            Err(ShedReason::DeadlineMissed { completion_cycle, deadline_cycles })
+        };
+        // Batch: `now = 0`, absolute deadlines; completion at the deadline
+        // runs, one cycle later sheds.
+        assert_eq!(schedule_or_shed(10, 0, 5, Some(15)), Ok((10, 15)));
+        assert_eq!(schedule_or_shed(10, 0, 5, Some(14)), missed(15, 14));
+        // Online: an idle shard starts the job at its arrival, and the
+        // deadline counts from there.
+        assert_eq!(schedule_or_shed(3, 10, 5, Some(4)), missed(15, 14));
+        // Both sums saturate instead of wrapping into the past.
+        assert_eq!(schedule_or_shed(u64::MAX - 1, 0, 5, Some(100)), missed(u64::MAX, 100));
+        assert_eq!(
+            schedule_or_shed(0, u64::MAX - 1, 5, Some(u64::MAX)),
+            Ok((u64::MAX - 1, u64::MAX))
+        );
+        assert_eq!(missed(1, 0).unwrap_err().slug(), "deadline_missed");
     }
 
     #[test]
@@ -1197,8 +1291,20 @@ mod tests {
         assert_eq!(batch.completed_count(), 2);
         assert_eq!(batch.rejected_count(), 1);
         assert_eq!(batch.outcomes()[2].label(), "rejected");
-        // The queue bound was never exceeded.
-        assert!(batch.peak_queue_depth <= 2);
+        // The queue filled to its bound and never past it.
+        assert_eq!(batch.peak_queue_depth, 2);
+        // The high-water mark is the engine's lifetime peak: a later,
+        // shallower batch keeps it.
+        engine.submit(InferenceJob::new("d", net)).unwrap();
+        assert_eq!(engine.run_batch().unwrap().peak_queue_depth, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_queue_capacity_is_rejected() {
+        let config = EngineConfig::quick(MacKind::Bsc).with_queue_capacity(0);
+        let charac = CharacterizationCache::global().get_for(&config.accel).unwrap();
+        let _ = Engine::with_design(config, charac);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod compiler;
 pub mod des;
 pub mod engine;
 mod error;
-pub mod queue;
 mod report;
 pub mod slo;
 
@@ -63,7 +62,6 @@ pub use engine::{
     JobReport, PrecisionPolicy, RejectReason, ShedReason,
 };
 pub use error::AccelError;
-pub use queue::{BoundedQueue, QueueFull};
 pub use report::{render_comparison, LayerReport, NetworkReport};
 pub use slo::{
     CompletionGroup, SloAccountant, SloAttainment, SloReport, SloTarget, TenantId, TenantSlo,

@@ -98,8 +98,15 @@ impl SpanCollector {
     /// Opens a span nested under the current one and makes it current.
     /// The returned guard closes it on drop.
     pub fn begin(&self, name: &str) -> SpanGuard {
+        self.begin_under(self.current_id(), name)
+    }
+
+    /// Opens a span under an explicit `parent` and makes it current; the
+    /// returned guard closes it and makes `parent` current again.  For
+    /// spans begun on worker threads, where the shared cursor holds
+    /// whichever sibling began last.
+    pub fn begin_under(&self, parent: u64, name: &str) -> SpanGuard {
         let start_ns = self.now_ns();
-        let parent = self.current.load(Ordering::Relaxed);
         let id = {
             let mut g = self.inner.lock().expect("span collector poisoned");
             let id = g.next_id;
@@ -255,6 +262,17 @@ mod tests {
         assert_eq!(col2.current_id(), g.id());
         drop(g);
         assert_eq!(col2.len(), 1);
+    }
+
+    #[test]
+    fn begin_under_links_the_named_parent_whatever_is_current() {
+        let col = SpanCollector::new();
+        let (root, _sibling) = (col.begin("root"), col.begin("sibling"));
+        let child = col.begin_under(root.id(), "child");
+        assert_eq!(col.current_id(), child.id());
+        drop(child);
+        assert_eq!(col.current_id(), root.id(), "closing restores the named parent");
+        assert_eq!(col.snapshot().by_name("child").unwrap().parent, root.id());
     }
 
     #[test]

@@ -195,19 +195,27 @@ echo "online report and text view byte-identical at 1, 2 and 8 workers"
 # completed/shed series) comes out of the streaming SLO fold; it is a
 # pure function of the manifest, gated at zero tolerance on the example
 # manifest and on the benchmark's steady-state manifest, whose SLO
-# export must also be byte-identical at 1, 2 and 8 workers.
+# export must also be byte-identical at 1, 2 and 8 workers.  The
+# steady-state manifest is the gated run where every admission rung
+# fires, `overloaded` included, so its report (the per-shard funnel,
+# tallies and depth series) is gated the same way.
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_online_slo_baseline.json "$out/online_slo.json" --tol 0
 for w in 1 2 8; do
     cargo run --release --offline -q -p bsc-bench --bin repro -- \
         online perfbench/inputs/online_steady.json --workers "$w" \
+        --report-out "$out/online_steady_w$w.json" \
         --slo-out "$out/online_steady_slo_w$w.json" >/dev/null
 done
 cargo run --release --offline -q -p bsc-bench --bin repro -- \
     diff BENCH_online_steady_slo_baseline.json "$out/online_steady_slo_w1.json" --tol 0
+cargo run --release --offline -q -p bsc-bench --bin repro -- \
+    diff BENCH_online_steady_baseline.json "$out/online_steady_w1.json" --tol 0
 cmp "$out/online_steady_slo_w1.json" "$out/online_steady_slo_w2.json"
 cmp "$out/online_steady_slo_w1.json" "$out/online_steady_slo_w8.json"
-echo "online SLO exports match their baselines; steady SLO byte-identical at 1, 2 and 8 workers"
+cmp "$out/online_steady_w1.json" "$out/online_steady_w2.json"
+cmp "$out/online_steady_w1.json" "$out/online_steady_w8.json"
+echo "online exports match their baselines; steady report and SLO byte-identical at 1, 2 and 8 workers"
 # Strict flag parsing: unknown flags and missing values are usage
 # errors (exit 2), not silently ignored.
 set +e

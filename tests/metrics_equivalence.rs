@@ -36,10 +36,12 @@ use bsc_telemetry::LabelSet;
 /// Seeded manifest exercising all three arrival processes (Poisson,
 /// bursty, diurnal), heterogeneous shards, every admission-ladder rung
 /// under every dispatch policy (queue_full via `max_outstanding`,
-/// overloaded via `max_backlog_cycles`, deadline_infeasible and shed
-/// via the tight `steady` and `squall` deadlines) and both SLO-tracked
-/// and untracked tenants.  The dispatch policy is substituted per test
-/// cell.
+/// overloaded via `max_backlog_cycles`, deadline_infeasible via the
+/// `squall` deadline — the one below the backlog limit, since
+/// `overloaded` is tested first on the same projected backlog — and
+/// shed via the tight `steady` and `squall` deadlines) and both
+/// SLO-tracked and untracked tenants.  The dispatch policy is
+/// substituted per test cell.
 const MANIFEST: &str = r#"{
   "cluster": {
     "policy": "least-outstanding",
@@ -47,7 +49,7 @@ const MANIFEST: &str = r#"{
     "horizon_cycles": 400000,
     "max_jobs": 6000,
     "max_outstanding": 3,
-    "max_backlog_cycles": 800,
+    "max_backlog_cycles": 1200,
     "workers": 2,
     "shards": [
       {"name": "bsc0", "kind": "bsc", "quick": true},
@@ -173,11 +175,19 @@ fn assert_metrics_restate_the_report(run: &OnlineRun, cell: &str) {
 /// absent.
 #[test]
 fn registry_metrics_restate_the_report_in_every_cell() {
-    let loose = MANIFEST
-        .replace(r#""max_outstanding": 3"#, r#""max_outstanding": 6"#)
-        .replace(r#""max_backlog_cycles": 800"#, r#""max_backlog_cycles": 150000"#)
-        .replace(r#""deadline_cycles": 4000"#, r#""deadline_cycles": 120000"#)
-        .replace(r#""deadline_cycles": 900"#, r#""deadline_cycles": 40000"#);
+    // Each substitution must match, or the variant silently keeps the
+    // golden manifest's pressure.
+    let loose = [
+        (r#""max_outstanding": 3"#, r#""max_outstanding": 6"#),
+        (r#""max_backlog_cycles": 1200"#, r#""max_backlog_cycles": 150000"#),
+        (r#""deadline_cycles": 4000"#, r#""deadline_cycles": 120000"#),
+        (r#""deadline_cycles": 900"#, r#""deadline_cycles": 40000"#),
+    ]
+    .into_iter()
+    .fold(MANIFEST.to_string(), |m, (from, to)| {
+        assert!(m.contains(from), "loose variant: `{from}` not in the manifest");
+        m.replace(from, to)
+    });
     for (name, manifest) in [("golden", MANIFEST), ("loose", loose.as_str())] {
         for policy in POLICIES {
             let manifest = manifest.replace("least-outstanding", policy);
